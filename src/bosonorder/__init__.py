@@ -13,7 +13,7 @@ brute-force word-rewriting oracle and the closed Riordan/EGF route.  The
 """
 
 from .scalars import S, SPoly, as_s, as_spoly, format_rational, parse_rational
-from .series import BiSeries, Series, compose, exp_log, mul, pow_rational, revert
+from .series import BiSeries, Series
 from .weyl import (AntiNormalForm, ClassicalPoly, NormalForm, Word,
                    anti_normal_order, convert_order, normal_order, s_quantize,
                    s_transform, weyl_quantize_monomial)
@@ -28,8 +28,8 @@ from .two_point import (TwoPointParams, closed_form_e1, quartic_leading_coeffs,
 from .ordering import (OperatorSeries, SingleAnnihilatorWord, SymbolSeries,
                        blasiak_identity_check, exp_number_closed_form,
                        exp_word_closed_form, laguerre_power, oracle_exponential,
-                       oracle_exponential_anti, power_normal_form, power_symbol,
-                       s_ordered_symbol, weyl_power_aaa)
+                       power_normal_form, power_symbol, s_ordered_symbol,
+                       weyl_power_aaa)
 from .verify import SUITES, run_all, run_suite, suite_passed
 
 __version__ = "0.1.0"

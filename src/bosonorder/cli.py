@@ -3,7 +3,8 @@
 Every subcommand prints exact data (JSON or CSV) built from rational and
 polynomial-in-s arithmetic, so repeated runs with the same arguments are
 byte-for-byte identical.  The truncation order comes from --N when given,
-else from the environment variable BOSONORDER_TRUNC_ORDER, else 8.
+else from the environment variable BOSONORDER_TRUNC_ORDER, else 8, and
+must be >= 0; power and weyl-aaa take no truncation order.
 
 Exit codes:
     0   success (for ``verify``: every case passed)
@@ -33,16 +34,17 @@ ENV_TRUNC_ORDER = "BOSONORDER_TRUNC_ORDER"
 
 
 def _trunc_order(args) -> int:
-    if args.N is not None:
-        return args.N
-    env = os.environ.get(ENV_TRUNC_ORDER)
-    if env is not None:
+    N = args.N
+    if N is None:
+        env = os.environ.get(ENV_TRUNC_ORDER)
         try:
-            return int(env)
+            N = DEFAULT_TRUNC_ORDER if env is None else int(env)
         except ValueError:
             raise ValueError(f"{ENV_TRUNC_ORDER} must be an integer, "
                              f"got {env!r}") from None
-    return DEFAULT_TRUNC_ORDER
+    if N < 0:
+        raise ValueError("truncation order must be >= 0")
+    return N
 
 
 def _dump(obj) -> str:
@@ -158,14 +160,15 @@ def _cmd_catalog(args) -> int:
 # Parser.
 # ---------------------------------------------------------------------------
 
-def _add_output_flags(sp) -> None:
+def _add_output_flags(sp, truncated: bool = True) -> None:
     sp.add_argument("--format", choices=("json", "csv"), default="json",
                     help="output format (default json)")
     sp.add_argument("--out", metavar="FILE", default=None,
                     help="write to FILE instead of stdout")
-    sp.add_argument("--N", type=int, default=None, metavar="ORDER",
-                    help=f"truncation order (default ${ENV_TRUNC_ORDER} "
-                         f"or {DEFAULT_TRUNC_ORDER})")
+    if truncated:
+        sp.add_argument("--N", type=int, default=None, metavar="ORDER",
+                        help=f"truncation order (default ${ENV_TRUNC_ORDER} "
+                             f"or {DEFAULT_TRUNC_ORDER})")
 
 
 def _add_hs_params(sp) -> None:
@@ -229,13 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--R", type=int, required=True)
     sp.add_argument("--n", type=int, required=True, help="the power")
     _add_s_flag(sp)
-    _add_output_flags(sp)
+    _add_output_flags(sp, truncated=False)
     sp.set_defaults(func=_cmd_power)
 
     sp = sub.add_parser("weyl-aaa",
                         help="Weyl-ordered symbol of (ad a ad)^n")
     sp.add_argument("--n", type=int, required=True, help="the power")
-    _add_output_flags(sp)
+    _add_output_flags(sp, truncated=False)
     sp.set_defaults(func=_cmd_weyl_aaa)
 
     sp = sub.add_parser("verify",

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .scalars import SPoly, binomial, falling
+from .scalars import binomial, falling
 from .riordan import BivariateEGF, RiordanPair, Triangle, pair_to_egf
 from .series import Series
 
@@ -118,12 +118,18 @@ def hs_pde_residual(p: HSParams, N: int) -> BivariateEGF:
     """Residual of the characterizing PDE, exact through order N-1.
 
     The EGF F(t, z) of HS(A, B, r) satisfies
-        (-A z - 1) dF/dz + B t dF/dt + (r + t) F = 0.
+        (-A z - 1) dF/dz + B t dF/dt + (r + t) F = 0,
+    which on the coefficients c_{n,k} of z^n t^k reads, for n < N,
+        (r - A n + B k) c_{n,k} - (n+1) c_{n+1,k} + c_{n,k-1} = 0.
     """
+    if N < 1:
+        raise ValueError("the PDE residual needs truncation order >= 1")
     egf = hs_egf(p, N)
-    dz = egf.dz()
-    n1 = N - 1
-    res = dz.mul_z().scale(-p.A) - dz
-    res = res + egf.dt().mul_t().truncate(n1).scale(p.B)
-    res = res + egf.truncate(n1).scale(p.r) + egf.mul_t().truncate(n1)
-    return res
+    rows = []
+    for n in range(N):
+        width = max(len(egf.zcoeffs[n]) + 1, len(egf.zcoeffs[n + 1]))
+        rows.append([(p.r - p.A * n + p.B * k) * egf.coeff(n, k)
+                     - (n + 1) * egf.coeff(n + 1, k)
+                     + (egf.coeff(n, k - 1) if k else 0)
+                     for k in range(width)])
+    return BivariateEGF(rows, N - 1)

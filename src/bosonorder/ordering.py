@@ -22,13 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .scalars import SPoly, as_s, as_spoly, binomial
+from .scalars import as_s, binomial
 from .series import BiSeries, Series
 from .riordan import SHEFFER, RiordanPair, pair_to_egf
 from .hsu_shiue import HSParams, hs_egf, hs_triangle_rec
 from .two_point import TwoPointParams, two_point_egf
 from .weyl import (AntiNormalForm, ClassicalPoly, NormalForm, Word,
-                   anti_normal_order, normal_order, s_quantize)
+                   normal_order, s_quantize)
 
 
 @dataclass(frozen=True)
@@ -138,13 +138,6 @@ def oracle_exponential(w: SingleAnnihilatorWord, N: int) -> OperatorSeries:
         nf = normal_order(word.power(n))
         terms.append(nf.scale(Fraction(1, factorial(n))))
     return OperatorSeries(terms, N)
-
-
-def oracle_exponential_anti(w: SingleAnnihilatorWord, N: int) -> list:
-    """Anti-normal companion oracle: [anti_normal_order(w^n)/n!]."""
-    word = w.word()
-    return [anti_normal_order(word.power(n)).scale(Fraction(1, factorial(n)))
-            for n in range(N + 1)]
 
 
 # ---------------------------------------------------------------------------

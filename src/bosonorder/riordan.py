@@ -138,10 +138,6 @@ class Triangle:
         """Row n as the coefficient list of a polynomial in t."""
         return list(self.rows[n])
 
-    def eval_s(self, value) -> "Triangle":
-        return Triangle(self.N, [[SPoly.const(c.eval(value)) for c in row]
-                                 for row in self.rows])
-
     def __eq__(self, other):
         if not isinstance(other, Triangle):
             return NotImplemented
@@ -209,67 +205,13 @@ class BivariateEGF:
             rows.append(poly)
         return Triangle(self.order, rows)
 
-    # -- exact operators used by PDE characterizations -------------------
-
-    def dz(self) -> "BivariateEGF":
-        if self.order == 0:
-            raise ValueError("cannot differentiate an order-0 truncation")
-        return BivariateEGF([[(n + 1) * c for c in self.zcoeffs[n + 1]]
-                             for n in range(self.order)], self.order - 1)
-
-    def dt(self) -> "BivariateEGF":
-        return BivariateEGF([[k * row[k] for k in range(1, len(row))]
-                             for row in self.zcoeffs], self.order)
-
-    def mul_z(self) -> "BivariateEGF":
-        rows = [()] + list(self.zcoeffs[:-1])
-        return BivariateEGF(rows, self.order)
-
-    def mul_t(self) -> "BivariateEGF":
-        return BivariateEGF([(SPoly(),) + row if row else () for row in self.zcoeffs],
-                            self.order)
-
-    def scale(self, c) -> "BivariateEGF":
-        c = as_spoly(c)
-        return BivariateEGF([[c * e for e in row] for row in self.zcoeffs],
-                            self.order)
-
-    def __add__(self, other):
-        n = min(self.order, other.order)
-        rows = []
-        for i in range(n + 1):
-            a, b = self.zcoeffs[i], other.zcoeffs[i]
-            width = max(len(a), len(b))
-            rows.append([(a[k] if k < len(a) else SPoly())
-                         + (b[k] if k < len(b) else SPoly())
-                         for k in range(width)])
-        return BivariateEGF(rows, n)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def truncate(self, order: int) -> "BivariateEGF":
-        if order > self.order:
-            raise ValueError("cannot extend a truncation")
-        return BivariateEGF(self.zcoeffs[: order + 1], order)
-
     def is_zero(self) -> bool:
         return all(not row for row in self.zcoeffs)
-
-    def eval_s(self, value) -> "BivariateEGF":
-        return BivariateEGF([[SPoly.const(c.eval(value)) for c in row]
-                             for row in self.zcoeffs], self.order)
 
     def __eq__(self, other):
         if not isinstance(other, BivariateEGF):
             return NotImplemented
         return self.order == other.order and self.zcoeffs == other.zcoeffs
-
-    def __hash__(self):
-        return hash((self.zcoeffs, self.order))
 
     def to_json(self) -> dict:
         return {"trunc_order": self.order,

@@ -26,8 +26,13 @@ def parse_rational(text: str) -> Fraction:
 
     >>> parse_rational("-3/4")
     Fraction(-3, 4)
+
+    A zero denominator raises ValueError, like any other malformed text.
     """
-    return Fraction(text.replace(" ", ""))
+    try:
+        return Fraction(text.replace(" ", ""))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(q) -> str:
@@ -50,11 +55,6 @@ def falling(x, n: int, stride) -> Fraction:
     for i in range(n):
         out *= x - i * h
     return out
-
-
-def rising(x, n: int, stride) -> Fraction:
-    """Strided rising factorial x(x+h)(x+2h)...(x+(n-1)h)."""
-    return falling(x, n, -Fraction(stride))
 
 
 class SPoly:
@@ -212,13 +212,6 @@ class SPoly:
         """Evaluate at a rational value of s (Horner)."""
         value = Fraction(value)
         out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * value + c
-        return out
-
-    def subs(self, value: "SPoly") -> "SPoly":
-        """Substitute an SPoly for s."""
-        out = SPoly()
         for c in reversed(self.coeffs):
             out = out * value + c
         return out

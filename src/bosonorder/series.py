@@ -283,9 +283,6 @@ class Series:
         """Evaluate every coefficient at a rational s."""
         return Series((SPoly.const(c.eval(value)) for c in self.coeffs), self.order)
 
-    def subs_s(self, value: SPoly) -> "Series":
-        return Series((c.subs(value) for c in self.coeffs), self.order)
-
     # -- comparisons, display, serialization ----------------------------
 
     def __eq__(self, other):
@@ -338,33 +335,6 @@ class Series:
     def from_json(data) -> "Series":
         return Series([SPoly.from_json(c) for c in data["coeffs"]],
                       data["trunc_order"])
-
-
-# Contract-level aliases for the core operations.
-
-def mul(f: Series, g: Series) -> Series:
-    return f * g
-
-
-def compose(outer: Series, inner: Series) -> Series:
-    return outer.compose(inner)
-
-
-def revert(f: Series) -> Series:
-    return f.revert()
-
-
-def pow_rational(f: Series, q) -> Series:
-    return f.pow_rational(q)
-
-
-def exp_log(f: Series, kind: str) -> Series:
-    """Dispatch to exp or log by name."""
-    if kind == "exp":
-        return f.exp()
-    if kind == "log":
-        return f.log()
-    raise ValueError(f"kind must be 'exp' or 'log', got {kind!r}")
 
 
 class BiSeries:
@@ -514,34 +484,8 @@ class BiSeries:
             out = out + f.coeffs[k] * powed
         return out
 
-    def exp(self) -> "BiSeries":
-        """exp(F) for F with zero constant term."""
-        if not self.table[0][0].is_zero():
-            raise ValueError("exp requires zero constant term")
-        out = BiSeries.const(1, self.xorder, self.uorder)
-        powed = BiSeries.const(1, self.xorder, self.uorder)
-        fact = Fraction(1)
-        for k in range(1, self.xorder + self.uorder + 1):
-            powed = powed * self
-            if powed.is_zero():
-                break
-            fact *= k
-            out = out + (Fraction(1, 1) / fact) * powed
-        return out
-
-    def __pow__(self, n: int) -> "BiSeries":
-        if n < 0:
-            raise ValueError("negative power")
-        out = BiSeries.const(1, self.xorder, self.uorder)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, BiSeries):
             return NotImplemented
         return (self.xorder == other.xorder and self.uorder == other.uorder
                 and self.table == other.table)
-
-    def __hash__(self):
-        return hash((self.table, self.xorder, self.uorder))

@@ -297,9 +297,6 @@ class ClassicalPoly(_Table):
         return ClassicalPoly(((k, SPoly.const(c.eval(value)))
                               for k, c in self.table.items()))
 
-    def subs_s(self, value: SPoly) -> "ClassicalPoly":
-        return ClassicalPoly(((k, c.subs(value)) for k, c in self.table.items()))
-
     def heat_propagate(self, delta) -> "ClassicalPoly":
         """Apply exp[delta d^2/dx dx*] -- a finite sum on polynomials.
 
@@ -336,42 +333,36 @@ def normal_order(word: Word) -> NormalForm:
     the answer; leftmost-first merely makes runs deterministic.  Identical
     intermediate words are merged, which keeps the state space small.
     """
-    pending = {word.letters: 1}
-    done: dict[tuple, int] = {}
-    while pending:
-        nxt: dict[tuple, int] = {}
-        for w, coef in sorted(pending.items()):
-            idx = _leftmost(w, ANNIHILATOR, CREATOR)
-            if idx < 0:
-                done[w] = done.get(w, 0) + coef
-                continue
-            swapped = w[:idx] + (CREATOR, ANNIHILATOR) + w[idx + 2:]
-            contracted = w[:idx] + w[idx + 2:]
-            nxt[swapped] = nxt.get(swapped, 0) + coef
-            nxt[contracted] = nxt.get(contracted, 0) + coef
-        pending = {w: c for w, c in nxt.items() if c}
+    done = _rewrite(word.letters, ANNIHILATOR, CREATOR, 1)
     return NormalForm((((w.count(CREATOR), w.count(ANNIHILATOR)), c)
                        for w, c in done.items()))
 
 
 def anti_normal_order(word: Word) -> AntiNormalForm:
     """Anti-normal-order a word by repeated leftmost  c a -> a c - 1  rewriting."""
-    pending = {word.letters: 1}
+    done = _rewrite(word.letters, CREATOR, ANNIHILATOR, -1)
+    return AntiNormalForm((((w.count(ANNIHILATOR), w.count(CREATOR)), c)
+                           for w, c in done.items()))
+
+
+def _rewrite(letters: tuple, first: str, second: str, sign: int) -> dict:
+    """Rewrite  first second -> second first + sign  at the leftmost pair
+    until none is left; returns {reduced word: integer coefficient}."""
+    pending = {letters: 1}
     done: dict[tuple, int] = {}
     while pending:
         nxt: dict[tuple, int] = {}
         for w, coef in sorted(pending.items()):
-            idx = _leftmost(w, CREATOR, ANNIHILATOR)
+            idx = _leftmost(w, first, second)
             if idx < 0:
                 done[w] = done.get(w, 0) + coef
                 continue
-            swapped = w[:idx] + (ANNIHILATOR, CREATOR) + w[idx + 2:]
+            swapped = w[:idx] + (second, first) + w[idx + 2:]
             contracted = w[:idx] + w[idx + 2:]
             nxt[swapped] = nxt.get(swapped, 0) + coef
-            nxt[contracted] = nxt.get(contracted, 0) - coef
+            nxt[contracted] = nxt.get(contracted, 0) + sign * coef
         pending = {w: c for w, c in nxt.items() if c}
-    return AntiNormalForm((((w.count(ANNIHILATOR), w.count(CREATOR)), c)
-                           for w, c in done.items()))
+    return done
 
 
 def _leftmost(w: tuple, first: str, second: str) -> int:

@@ -3,13 +3,22 @@
 Every test runs the matching verification suite from bosonorder.verify and
 prints a single PASS/FAIL line (visible with ``pytest -v -s`` or in the
 failure report).  Tolerances are zero everywhere: a criterion passes only
-if every case's residual is literally "0".
+if every case's residual is literally "0", and the whole report matches the
+committed golden output.
 """
 
+import json
 import sys
 import time
+from pathlib import Path
 
 from bosonorder import verify
+
+#: The reports of ``bosonorder verify all --seed 0`` by suite name; every
+#: report must match its entry byte for byte.
+GOLDEN = {r["suite"]: r for r in json.loads(
+    (Path(__file__).resolve().parent / "golden" / "verify_all.json")
+    .read_text(encoding="utf-8"))}
 
 
 def _run(name: str, budget: float | None = None) -> None:
@@ -23,6 +32,8 @@ def _run(name: str, budget: float | None = None) -> None:
     detail = "; ".join(f"{c['params']} -> {c['residual']}"
                        for c in failed[:5])
     assert not failed, f"{name}: {detail}"
+    assert json.dumps(report, indent=2) == json.dumps(GOLDEN[name], indent=2), \
+        f"{name}: report differs from tests/golden/verify_all.json"
     if budget is not None:
         assert elapsed < budget, f"{name} took {elapsed:.1f}s"
 

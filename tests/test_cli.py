@@ -13,6 +13,8 @@ import pytest
 from bosonorder import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+GOLDEN = json.loads((Path(__file__).resolve().parent / "golden" / "cli.json")
+                    .read_text(encoding="utf-8"))
 
 
 def run_cli(capsys, *argv):
@@ -117,14 +119,42 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+    # a zero denominator is malformed input, not a failing verification
+    for argv in (["order", "--L", "1", "--R", "0", "--s", "1/0"],
+                 ["hs-triangle", "--A", "1/0", "--B", "1", "--r", "0"],
+                 ["hs-egf", "--A", "0", "--B", "-2/0", "--r", "0"],
+                 ["hs-egf", "--A", "0", "--B", "1", "--r", "3/0"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    # power and weyl-aaa compute one exact power and take no --N
+    for argv in (["power", "--L", "1", "--R", "0", "--n", "2", "--N", "-1"],
+                 ["weyl-aaa", "--n", "2", "--N", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
 
 
-def test_precondition_errors_exit_3(capsys):
+def test_precondition_errors_exit_3(capsys, monkeypatch):
     code = cli.main(["order", "--L", "0", "--R", "0"])
     assert code == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert cli.main(["power", "--L", "1", "--R", "0", "--n", "-2"]) == 3
+    capsys.readouterr()
+    # a negative truncation order is refused with one message everywhere
+    for argv in (["hs-triangle", "--A", "0", "--B", "1", "--r", "0"],
+                 ["hs-egf", "--A", "0", "--B", "1", "--r", "0"],
+                 ["two-point-egf", "--A", "0", "--B", "1", "--r", "0",
+                  "--r-prime", "1"],
+                 ["order", "--L", "1", "--R", "0"],
+                 ["catalog", "abel"]):
+        assert cli.main(argv + ["--N", "-1"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: truncation order must be >= 0\n"
+    monkeypatch.setenv("BOSONORDER_TRUNC_ORDER", "-1")
+    assert cli.main(["hs-triangle", "--A", "0", "--B", "1", "--r", "0"]) == 3
+    assert capsys.readouterr().err == "error: truncation order must be >= 0\n"
 
 
 def test_verify_reports_and_exit_codes(capsys, monkeypatch):
@@ -142,6 +172,15 @@ def test_verify_reports_and_exit_codes(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_suite", fake)
     code, out = run_cli(capsys, "verify", "katriel")
     assert code == 1
+
+
+@pytest.mark.parametrize("case", GOLDEN,
+                         ids=[f"{i:02d}-{c['argv'][0]}"
+                              for i, c in enumerate(GOLDEN)])
+def test_golden_output(capsys, case):
+    code, out = run_cli(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert out == case["stdout"]
 
 
 def test_byte_level_determinism(capsys):

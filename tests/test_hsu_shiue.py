@@ -1,11 +1,13 @@
 """Generalized Stirling triangles: the three computation routes, the
 parameter symmetries, and the characterizing PDE."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bosonorder import hsu_shiue
 from bosonorder.hsu_shiue import (HSParams, hs_coeff_sum, hs_egf, hs_pair,
                                   hs_pde_residual, hs_triangle_rec)
 from bosonorder.riordan import group_inverse
@@ -102,6 +104,26 @@ def test_negation_symmetry(a, b, r):
 @settings(max_examples=15)
 def test_pde_residual_vanishes(a, b, r):
     assert hs_pde_residual(HSParams(a, b, r), 7).is_zero()
+
+
+@pytest.mark.parametrize("field, weight", [
+    ("A", lambda n, k: n),
+    ("B", lambda n, k: -k),
+    ("r", lambda n, k: -1),
+], ids=["A", "B", "r"])
+def test_pde_residual_detects_a_wrong_egf(monkeypatch, field, weight):
+    # Feeding in the EGF c of the parameters with one of A, B, r raised by 1
+    # leaves exactly that term of the identity: the residual is
+    # n c_{n,k}, -k c_{n,k} or -c_{n,k}.
+    p = HSParams(Fraction(1, 2), 2, -1)
+    wrong = dataclasses.replace(p, **{field: getattr(p, field) + 1})
+    monkeypatch.setattr(hsu_shiue, "hs_egf", lambda _, N: hs_egf(wrong, N))
+    res = hs_pde_residual(p, 6)
+    assert not res.is_zero()
+    c = hs_egf(wrong, 6)
+    for n in range(6):
+        for k in range(n + 2):
+            assert res.coeff(n, k) == weight(n, k) * c.coeff(n, k)
 
 
 def test_params_coercion_and_duality_values():

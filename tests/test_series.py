@@ -153,12 +153,6 @@ def test_biseries_product_and_slices():
     assert sl[1] == 1 and sl[0] == 0
 
 
-def test_biseries_exp_splits():
-    x = BiSeries.var_x(4, 4)
-    u = BiSeries.var_u(4, 4)
-    assert (x + u).exp() == x.exp() * u.exp()
-
-
 def test_biseries_compose_series():
     # g(w) for univariate g must reduce to ordinary composition on the
     # diagonal-free slice u = 0.
