@@ -9,7 +9,8 @@ must be >= 0; power and weyl-aaa take no truncation order.
 Exit codes:
     0   success (for ``verify``: every case passed)
     1   a verification suite reported a failing case
-    2   usage error (bad flags, unknown subcommand; raised by argparse)
+    2   usage error (bad flags, unknown subcommand; raised by argparse),
+        or the --out FILE cannot be written
     3   data precondition violated (reported by the library as ValueError)
 """
 
@@ -275,6 +276,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        # only _emit touches the file system
+        print(f"error: cannot write {args.out or 'stdout'}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -329,8 +329,10 @@ class ClassicalPoly(_Table):
 def normal_order(word: Word) -> NormalForm:
     """Normal-order a word by repeated leftmost  a c -> c a + 1  rewriting.
 
-    The rewriting system is confluent, so the reduction order cannot change
-    the answer; leftmost-first merely makes runs deterministic.  Identical
+    The letters are joined into one string, so the leftmost pair "ac" is
+    found by ``str.find`` and each successor word is built by slicing.  The
+    rewriting system is confluent, so the reduction order cannot change the
+    answer; leftmost-first merely makes runs deterministic.  Identical
     intermediate words are merged, which keeps the state space small.
     """
     done = _rewrite(word.letters, ANNIHILATOR, CREATOR, 1)
@@ -347,29 +349,33 @@ def anti_normal_order(word: Word) -> AntiNormalForm:
 
 def _rewrite(letters: tuple, first: str, second: str, sign: int) -> dict:
     """Rewrite  first second -> second first + sign  at the leftmost pair
-    until none is left; returns {reduced word: integer coefficient}."""
-    pending = {letters: 1}
-    done: dict[tuple, int] = {}
+    until none is left; returns {reduced word as a str: integer coefficient}.
+
+    Words are strings: ``str.find`` locates the leftmost pair and slicing
+    builds the swapped and the contracted successor.  Each pass rewrites
+    every pending word once and merges equal successors; the passes visit
+    words in insertion order, which is deterministic, and the result does
+    not depend on it.
+    """
+    pair = first + second
+    swap = second + first
+    pending = {"".join(letters): 1}
+    done: dict[str, int] = {}
     while pending:
-        nxt: dict[tuple, int] = {}
-        for w, coef in sorted(pending.items()):
-            idx = _leftmost(w, first, second)
+        nxt: dict[str, int] = {}
+        for w, coef in pending.items():
+            idx = w.find(pair)
             if idx < 0:
                 done[w] = done.get(w, 0) + coef
                 continue
-            swapped = w[:idx] + (second, first) + w[idx + 2:]
-            contracted = w[:idx] + w[idx + 2:]
+            head = w[:idx]
+            tail = w[idx + 2:]
+            swapped = head + swap + tail
+            contracted = head + tail
             nxt[swapped] = nxt.get(swapped, 0) + coef
             nxt[contracted] = nxt.get(contracted, 0) + sign * coef
         pending = {w: c for w, c in nxt.items() if c}
     return done
-
-
-def _leftmost(w: tuple, first: str, second: str) -> int:
-    for i in range(len(w) - 1):
-        if w[i] == first and w[i + 1] == second:
-            return i
-    return -1
 
 
 def weyl_quantize_monomial(n: int, m: int) -> NormalForm:

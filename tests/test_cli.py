@@ -109,7 +109,7 @@ def test_out_writes_file(capsys, tmp_path):
     assert target.read_text() == "1\n0,1\n0,1,1\n"
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["hs-triangle", "--A", "bogus", "--B", "1", "--r", "0"])
     assert exc.value.code == 2
@@ -133,6 +133,15 @@ def test_usage_errors_exit_2(capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
+    # an --out file that cannot be written is a usage error, not a failure
+    capsys.readouterr()
+    missing = str(tmp_path / "no-such-dir" / "x.json")
+    for argv in (["order", "--L", "1", "--R", "1", "--N", "3"],
+                 ["verify", "riordan-group"]):
+        assert cli.main(argv + ["--out", missing]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: cannot write {missing}: "
+                       "No such file or directory\n")
 
 
 def test_precondition_errors_exit_3(capsys, monkeypatch):

@@ -2,7 +2,8 @@
 
 The rewriting functions are the package's ground truth, so they get the
 densest checks: frozen hand-computed normal forms, the homomorphism law,
-and adjoint/anti-normal consistency on random words.
+adjoint/anti-normal consistency on random words, and the string-word
+rewriting kernel against a slow reference loop.
 """
 
 from fractions import Fraction
@@ -10,8 +11,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bosonorder.ordering import SingleAnnihilatorWord, power_normal_form
 from bosonorder.scalars import SPoly
-from bosonorder.weyl import (AntiNormalForm, ClassicalPoly, NormalForm, Word,
+from bosonorder.weyl import (ANNIHILATOR, CREATOR, AntiNormalForm,
+                             ClassicalPoly, NormalForm, Word, _rewrite,
                              anti_normal_order, convert_order, normal_order,
                              s_quantize, s_transform, weyl_quantize_monomial)
 
@@ -67,6 +70,50 @@ def test_adjoint_matches_reversed_word(w):
 @given(word_st)
 def test_anti_normal_consistent_with_normal(w):
     assert anti_normal_order(w).to_normal() == normal_order(w)
+
+
+def _reference_rewrite(letters: tuple, first: str, second: str,
+                       sign: int) -> dict:
+    """Reference for _rewrite, the slow obvious loop: tuple words, a Python
+    scan for the leftmost pair, and passes in sorted order."""
+    pending = {letters: 1}
+    done = {}
+    while pending:
+        nxt = {}
+        for w, coef in sorted(pending.items()):
+            idx = _reference_leftmost(w, first, second)
+            if idx < 0:
+                done[w] = done.get(w, 0) + coef
+                continue
+            swapped = w[:idx] + (second, first) + w[idx + 2:]
+            contracted = w[:idx] + w[idx + 2:]
+            nxt[swapped] = nxt.get(swapped, 0) + coef
+            nxt[contracted] = nxt.get(contracted, 0) + sign * coef
+        pending = {w: c for w, c in nxt.items() if c}
+    return done
+
+
+def _reference_leftmost(w: tuple, first: str, second: str) -> int:
+    for i in range(len(w) - 1):
+        if w[i] == first and w[i + 1] == second:
+            return i
+    return -1
+
+
+@settings(max_examples=200)
+@given(st.text(alphabet="ac", max_size=14).map(Word))
+def test_rewrite_matches_reference_loop(w):
+    for first, second, sign in ((ANNIHILATOR, CREATOR, 1),
+                                (CREATOR, ANNIHILATOR, -1)):
+        want = {"".join(k): c for k, c in
+                _reference_rewrite(w.letters, first, second, sign).items()}
+        assert _rewrite(w.letters, first, second, sign) == want
+
+
+def test_normal_order_of_bench_size_power():
+    # (ad a ad)^10, the largest power the rewrite benchmark uses
+    w = SingleAnnihilatorWord(1, 1)
+    assert normal_order(w.word().power(10)) == power_normal_form(w, 10)
 
 
 def test_normal_form_product_contraction():
