@@ -13,7 +13,7 @@ brute-force word-rewriting oracle and the closed Riordan/EGF route.  The
 """
 
 from .scalars import S, SPoly, as_s, as_spoly, format_rational, parse_rational
-from .series import BiSeries, Series
+from .series import Series
 from .weyl import (AntiNormalForm, ClassicalPoly, NormalForm, Word,
                    anti_normal_order, convert_order, normal_order, s_quantize,
                    s_transform, weyl_quantize_monomial)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import factorial
 
 from .scalars import as_s, binomial
-from .series import BiSeries, Series
+from .series import Series
 from .riordan import SHEFFER, RiordanPair, pair_to_egf
 from .hsu_shiue import HSParams, hs_egf, hs_triangle_rec
 from .two_point import TwoPointParams, two_point_egf
@@ -106,10 +106,6 @@ class SymbolSeries:
         """s-quantize every lambda coefficient at this series' own s."""
         return OperatorSeries([s_quantize(t, self.s) for t in self.terms],
                               self.order)
-
-    def eval_s(self, value) -> "SymbolSeries":
-        return SymbolSeries([t.eval_s(value) for t in self.terms],
-                            self.order, Fraction(value))
 
     def __eq__(self, other):
         if not isinstance(other, SymbolSeries):
@@ -287,6 +283,32 @@ def weyl_power_aaa(n: int) -> ClassicalPoly:
 # The Sheffer-pair exponential identity (single annihilator, general pair).
 # ---------------------------------------------------------------------------
 
+def _lmul(p: list, q: list) -> list:
+    """Cauchy product in lambda of two lambda-indexed lists of series."""
+    return [sum((p[k] * q[n - k] for k in range(1, n + 1)), p[0] * q[n])
+            for n in range(len(p))]
+
+
+def _lrecip(p: list) -> list:
+    """Reciprocal in lambda of a lambda-indexed list of series."""
+    inv0 = p[0].reciprocal()
+    out = [inv0]
+    for n in range(1, len(p)):
+        acc = sum((p[k] * out[n - k] for k in range(2, n + 1)), p[1] * out[n - 1])
+        out.append(-(inv0 * acc))
+    return out
+
+
+def _taylor_shift(F: Series, x: Series, nl: int) -> list:
+    """F(x + lambda) through lambda^nl: the lambda^j term is F^(j)(x)/j!.
+    F must be known through x.order + nl."""
+    out = [F.compose(x)]
+    for j in range(1, nl + 1):
+        F = F.deriv() * Fraction(1, j)
+        out.append(F.compose(x))
+    return out
+
+
 def blasiak_identity_check(p: RiordanPair, nd: int, nl: int) -> dict:
     """Check, coefficient by coefficient, the normally ordered form of
     exp(lambda X) for the raising-type element
@@ -299,8 +321,9 @@ def blasiak_identity_check(p: RiordanPair, nd: int, nl: int) -> dict:
 
     Both sides are expanded in the double truncation (ad-degree <= nd,
     lambda-order <= nl): the left side by the operator recursion
-    a^m f(ad) = sum_j C(m,j) f^(j)(ad) a^(m-j), the right side by bivariate
-    composition.  Returns {"equal": bool, "mismatches": [(n, m), ...]}.
+    a^m f(ad) = sum_j C(m,j) f^(j)(ad) a^(m-j), the right side as a Taylor
+    shift in lambda, F(f(ad) + lambda) = sum_j F^(j)(f(ad)) lambda^j/j!.
+    Returns {"equal": bool, "mismatches": [(n, m), ...]}.
 
     The pair must carry truncation order at least nd + nl + 1 so that every
     derivative and composition stays exact on the compared window.
@@ -332,28 +355,29 @@ def blasiak_identity_check(p: RiordanPair, nd: int, nl: int) -> dict:
                 new[m - j] = new.get(m - j, 0) + t_low
         states.append(new)
 
-    # Right side: bivariate in (ad, lambda).
-    fbar = f.revert()
-    f_bi = BiSeries.from_series(f.truncate(nd), nd, nl)
-    bbar = (f_bi + BiSeries.var_u(nd, nl)).compose_series(fbar.truncate(work))
-    g_bi = BiSeries.from_series(g.truncate(nd), nd, nl)
-    ratio = g_bi * bbar.compose_series(g.truncate(work)).reciprocal()
-    diff = bbar - BiSeries.var_x(nd, nl)
+    # Right side: lambda-indexed lists of series in ad.  bbar and g(bbar)
+    # are F(f(ad) + lambda) for F = fbar and F = g o fbar.  The lambda^0
+    # term of bbar - ad stays fbar(f(ad)) - ad, so a wrong reversion shows.
+    fbar = f.revert().truncate(work)
+    f_ad = f.truncate(nd)
+    bbar = _taylor_shift(fbar, f_ad, nl)
+    g_bbar = _taylor_shift(g.truncate(work).compose(fbar), f_ad, nl)
+    ratio = [g.truncate(nd) * c for c in _lrecip(g_bbar)]
+    diff = [bbar[0] - Series.variable(nd)] + bbar[1:]
 
     mismatches = []
-    rhs_m = BiSeries.const(1, nd, nl)  # (bbar - ad)^m / m!, built incrementally
+    rhs_m = [Series.one(nd)] + [Series.zero(nd)] * nl  # (bbar - ad)^m / m!
     for m in range(nl + 1):
         if m > 0:
-            rhs_m = rhs_m * diff * Fraction(1, m)
-        coeff_m = ratio * rhs_m
+            rhs_m = [c * Fraction(1, m) for c in _lmul(rhs_m, diff)]
+        coeff_m = _lmul(ratio, rhs_m)
         for n in range(nl + 1):
-            rhs_slice = coeff_m.x_slice(n)
             lhs_series = states[n].get(m)
             if lhs_series is None:
                 lhs_slice = Series.zero(nd)
             else:
                 lhs_slice = (lhs_series * Fraction(1, factorial(n))).truncate(nd)
-            if not (lhs_slice - rhs_slice).is_zero():
+            if not (lhs_slice - coeff_m[n]).is_zero():
                 mismatches.append((n, m))
     return {"equal": not mismatches, "ad_order": nd, "lambda_order": nl,
             "mismatches": mismatches}

@@ -8,10 +8,6 @@ than its inputs support.  All operations are exact: no floats anywhere.
 The operations are the standard formal ones -- Cauchy product, composition,
 compositional reversion (order-by-order linear solve), exp/log, and rational
 powers f^q = exp(q log f) for series with constant term 1.
-
-:class:`BiSeries` is the two-variable analogue truncated on a coefficient
-box; it exists for identities that live in a double power-series ring with
-independent truncation orders in each variable.
 """
 
 from __future__ import annotations
@@ -336,156 +332,3 @@ class Series:
         return Series([SPoly.from_json(c) for c in data["coeffs"]],
                       data["trunc_order"])
 
-
-class BiSeries:
-    """Power series in two variables truncated on a coefficient box.
-
-    ``table[i][j]`` is the coefficient of x^i u^j for 0 <= i <= xorder,
-    0 <= j <= uorder.  Products are exact entrywise on the box because a
-    coefficient of the product only involves lower coefficients of the
-    factors.
-    """
-
-    __slots__ = ("table", "xorder", "uorder")
-
-    def __init__(self, table, xorder: int, uorder: int):
-        rows = []
-        for i in range(xorder + 1):
-            src = table[i] if i < len(table) else ()
-            row = [as_spoly(src[j]) if j < len(src) else SPoly()
-                   for j in range(uorder + 1)]
-            rows.append(tuple(row))
-        object.__setattr__(self, "table", tuple(rows))
-        object.__setattr__(self, "xorder", xorder)
-        object.__setattr__(self, "uorder", uorder)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiSeries is immutable")
-
-    @staticmethod
-    def zero(xorder: int, uorder: int) -> "BiSeries":
-        return BiSeries((), xorder, uorder)
-
-    @staticmethod
-    def const(c, xorder: int, uorder: int) -> "BiSeries":
-        return BiSeries(((c,),), xorder, uorder)
-
-    @staticmethod
-    def var_x(xorder: int, uorder: int) -> "BiSeries":
-        return BiSeries(((), (1,)), xorder, uorder)
-
-    @staticmethod
-    def var_u(xorder: int, uorder: int) -> "BiSeries":
-        return BiSeries(((0, 1),), xorder, uorder)
-
-    @staticmethod
-    def from_series(f: Series, xorder: int, uorder: int) -> "BiSeries":
-        """Pour a univariate series in as a function of x alone."""
-        if f.order < xorder:
-            raise ValueError("series order too small for requested box")
-        return BiSeries(tuple((f.coeffs[i],) for i in range(xorder + 1)),
-                        xorder, uorder)
-
-    def coeff(self, i: int, j: int) -> SPoly:
-        return self.table[i][j]
-
-    def x_slice(self, j: int) -> Series:
-        """The coefficient of u^j as a series in x."""
-        return Series((self.table[i][j] for i in range(self.xorder + 1)),
-                      self.xorder)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for row in self.table for c in row)
-
-    def _check_box(self, other: "BiSeries"):
-        if self.xorder != other.xorder or self.uorder != other.uorder:
-            raise ValueError("BiSeries box mismatch")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, SPoly)):
-            rows = [list(r) for r in self.table]
-            rows[0][0] = rows[0][0] + as_spoly(other)
-            return BiSeries(rows, self.xorder, self.uorder)
-        self._check_box(other)
-        return BiSeries(
-            tuple(tuple(a + b for a, b in zip(ra, rb))
-                  for ra, rb in zip(self.table, other.table)),
-            self.xorder, self.uorder)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiSeries(tuple(tuple(-c for c in row) for row in self.table),
-                        self.xorder, self.uorder)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, SPoly)):
-            return self + (-as_spoly(other))
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, SPoly)):
-            c = as_spoly(other)
-            return BiSeries(tuple(tuple(c * e for e in row) for row in self.table),
-                            self.xorder, self.uorder)
-        self._check_box(other)
-        out = [[SPoly() for _ in range(self.uorder + 1)]
-               for _ in range(self.xorder + 1)]
-        for i1 in range(self.xorder + 1):
-            for j1 in range(self.uorder + 1):
-                a = self.table[i1][j1]
-                if a.is_zero():
-                    continue
-                for i2 in range(self.xorder + 1 - i1):
-                    for j2 in range(self.uorder + 1 - j1):
-                        b = other.table[i2][j2]
-                        if not b.is_zero():
-                            out[i1 + i2][j1 + j2] = out[i1 + i2][j1 + j2] + a * b
-        return BiSeries(out, self.xorder, self.uorder)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "BiSeries":
-        """1/F for invertible rational constant term; Neumann-series style."""
-        c00 = self.table[0][0]
-        if not c00.is_rational() or c00.is_zero():
-            raise ValueError("constant term not invertible")
-        inv0 = 1 / c00.as_rational()
-        u = -(inv0 * (self - c00.as_rational()))
-        out = BiSeries.const(1, self.xorder, self.uorder)
-        powed = BiSeries.const(1, self.xorder, self.uorder)
-        for _ in range(self.xorder + self.uorder):
-            powed = powed * u
-            if powed.is_zero():
-                break
-            out = out + powed
-        return inv0 * out
-
-    def compose_series(self, f: Series) -> "BiSeries":
-        """f(self) for self with zero constant term.
-
-        Exactness on the box requires f known through order xorder+uorder.
-        """
-        if not self.table[0][0].is_zero():
-            raise ValueError("composition requires zero constant term")
-        need = self.xorder + self.uorder
-        if f.order < need:
-            raise ValueError(
-                f"outer series order {f.order} insufficient; need {need}")
-        out = BiSeries.const(f.coeffs[0], self.xorder, self.uorder)
-        powed = BiSeries.const(1, self.xorder, self.uorder)
-        for k in range(1, need + 1):
-            powed = powed * self
-            if powed.is_zero():
-                break
-            out = out + f.coeffs[k] * powed
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        return (self.xorder == other.xorder and self.uorder == other.uorder
-                and self.table == other.table)

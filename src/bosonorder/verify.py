@@ -115,10 +115,11 @@ def _rand_nonzero(rng, lo: int = -6, hi: int = 6) -> Fraction:
 # The suites.
 # ---------------------------------------------------------------------------
 
-def suite_main_theorem(seed: int = 0, lam_order: int = 6) -> dict:
+def suite_main_theorem(seed: int = 0) -> dict:
     """exp(lambda ad^L a ad^R) == :two-point EGF:_s for every word with
     1 <= L + R <= 4, at fully symbolic s: quantizing the s-ordered symbol
     series must reproduce the brute-force rewriting oracle exactly."""
+    lam_order = 6
     cases = []
     for total in range(1, 5):
         for L in range(total + 1):
@@ -131,9 +132,10 @@ def suite_main_theorem(seed: int = 0, lam_order: int = 6) -> dict:
     return {"suite": "main-theorem", "cases": cases}
 
 
-def suite_cahill_glauber(seed: int = 0, lam_order: int = 8) -> dict:
+def suite_cahill_glauber(seed: int = 0) -> dict:
     """The closed s-ordered form of exp(lambda ad a), prefactor times
     Gaussian in x* x, against both the two-point route and the oracle."""
+    lam_order = 8
     w = SingleAnnihilatorWord(1, 0)
     closed = exp_number_closed_form(SYMBOLIC, lam_order)
     direct = s_ordered_symbol(w, SYMBOLIC, lam_order)
@@ -165,10 +167,11 @@ def _stirling2(rows: int) -> list:
     return table
 
 
-def suite_katriel(seed: int = 0, nmax: int = 10) -> dict:
+def suite_katriel(seed: int = 0) -> dict:
     """(ad a)^n = sum_k S(n,k) ad^k a^k and (a ad)^n = sum_k S(n+1,k+1)
-    ad^k a^k, n <= nmax, against brute-force rewriting and against Stirling
+    ad^k a^k, n <= 10, against brute-force rewriting and against Stirling
     numbers recomputed here from scratch."""
+    nmax = 10
     stirling = _stirling2(nmax + 1)
     ada = SingleAnnihilatorWord(1, 0)
     aad = SingleAnnihilatorWord(0, 1)
@@ -190,13 +193,13 @@ def suite_katriel(seed: int = 0, nmax: int = 10) -> dict:
     return {"suite": "katriel", "cases": cases}
 
 
-def suite_laguerre(seed: int = 0, nmax: int = 8) -> dict:
-    """(ad a ad)^n in both orderings, n <= nmax: the closed Laguerre
+def suite_laguerre(seed: int = 0) -> dict:
+    """(ad a ad)^n in both orderings, n <= 8: the closed Laguerre
     coefficients n!^2/(k!^2 (n-k)!) and the triangle route must both match
     the rewriting oracle, normal and anti-normal alike."""
     w = SingleAnnihilatorWord(1, 1)
     cases = []
-    for n in range(nmax + 1):
+    for n in range(9):
         brute_n = normal_order(w.word().power(n))
         brute_a = anti_normal_order(w.word().power(n))
         res = _first_fail(
@@ -208,14 +211,15 @@ def suite_laguerre(seed: int = 0, nmax: int = 8) -> dict:
     return {"suite": "laguerre", "cases": cases}
 
 
-def suite_hsu_shiue(seed: int = 0, count: int = 50, nmax: int = 10) -> dict:
+def suite_hsu_shiue(seed: int = 0) -> dict:
     """Random (A, B, r), B != 0: the defining double sum, the triangle
-    recurrence and the EGF expansion must agree entry by entry (n <= nmax);
+    recurrence and the EGF expansion must agree entry by entry (n <= 10);
     the group inverse must realize the (B, A, -r) duality; and the EGF must
     annihilate the characterizing PDE through order 9."""
+    nmax = 10
     rng = random.Random(seed)
     cases = []
-    for _ in range(count):
+    for _ in range(50):
         p = HSParams(_rand_frac(rng), _rand_nonzero(rng), _rand_frac(rng))
         tri = hs_triangle_rec(p, nmax)
         res = "0"
@@ -250,15 +254,15 @@ def suite_hsu_shiue(seed: int = 0, count: int = 50, nmax: int = 10) -> dict:
     return {"suite": "hsu-shiue", "cases": cases}
 
 
-def suite_two_point_reduction(seed: int = 0, count: int = 25,
-                              order: int = 8) -> dict:
+def suite_two_point_reduction(seed: int = 0) -> dict:
     """At the endpoints the two-point family collapses to one-point arrays:
     T(A,B,r,r'; -1) = HS(-A,B,r') and T(A,B,r,r'; +1) = HS(A,-B,r), checked
     as equality of the generating pairs.  The first draws pin the A = 0 and
     B = 0 limit branches; the rest are generic."""
+    order = 8
     rng = random.Random(seed)
     cases = []
-    for i in range(count):
+    for i in range(25):
         A = Fraction(0) if i in (0, 2) else _rand_nonzero(rng)
         B = Fraction(0) if i in (1, 2) else _rand_nonzero(rng)
         r, rp = _rand_frac(rng), _rand_frac(rng)
@@ -275,9 +279,10 @@ def suite_two_point_reduction(seed: int = 0, count: int = 25,
     return {"suite": "two-point-reduction", "cases": cases}
 
 
-def suite_e1_closed_forms(seed: int = 0, order: int = 10) -> dict:
+def suite_e1_closed_forms(seed: int = 0) -> dict:
     """Excess e = 1: the radical closed forms of [gbar, fbar] against the
     pair obtained by group inversion (reversion), symbolic s throughout."""
+    order = 10
     cases = []
     for L, R in ((2, 0), (1, 1), (0, 2)):
         w = SingleAnnihilatorWord(L, R)
@@ -289,11 +294,12 @@ def suite_e1_closed_forms(seed: int = 0, order: int = 10) -> dict:
     return {"suite": "e1-closed-forms", "cases": cases}
 
 
-def suite_e2_quartic(seed: int = 0, order: int = 8) -> dict:
+def suite_e2_quartic(seed: int = 0) -> dict:
     """Excess e = 2: fbar is a root of the degree-4 polynomial constraint
     for all four words, symbolic s and both endpoints; at s = +-1 the two
     leading coefficients vanish so the constraint degenerates to the
     quadratic that the endpoint root still satisfies."""
+    order = 8
     cases = []
     svals = (("symbolic", SYMBOLIC), ("-1", Fraction(-1)), ("1", Fraction(1)))
     for L in range(4):
@@ -311,11 +317,12 @@ def suite_e2_quartic(seed: int = 0, order: int = 8) -> dict:
     return {"suite": "e2-quartic", "cases": cases}
 
 
-def suite_weyl_power(seed: int = 0, nmax: int = 6, triangle_N: int = 12) -> dict:
+def suite_weyl_power(seed: int = 0) -> dict:
     """The Weyl-ordered (ad a ad)^n formula: quantizing the symbol at s = 0
-    must reproduce the rewriting oracle (n <= nmax), and the interior
+    must reproduce the rewriting oracle (n <= 6), and the interior
     triangle must equal the ordinary Riordan array
     [1/sqrt(1+4z^2), 2z/(1+sqrt(1+4z^2))], i.e. signed central binomials."""
+    nmax, triangle_N = 6, 12
     word = Word("cac")
     cases = []
     for n in range(nmax + 1):
@@ -367,14 +374,14 @@ def _random_symbol(rng, max_exp: int = 4, terms: int = 5) -> ClassicalPoly:
     return ClassicalPoly(tab)
 
 
-def suite_conversion(seed: int = 0, count: int = 10) -> dict:
+def suite_conversion(seed: int = 0) -> dict:
     """The conversion kernel between orderings: round trips are exact,
     conversion laws compose, the symbolic-target family solves the heat
     equation dF/ds = -(1/2) d^2 F/(dx dx*), and at s = 0 the heat
     propagator agrees with brute-force symmetrization (n + m <= 10)."""
     rng = random.Random(seed)
     cases = []
-    for i in range(count):
+    for i in range(10):
         F = _random_symbol(rng)
         s1, s2, s3 = (_rand_frac(rng, -4, 4) for _ in range(3))
         G = convert_order(F, s1, s2)
@@ -412,15 +419,15 @@ def _random_pair(rng, order: int) -> RiordanPair:
     return RiordanPair(d, h)
 
 
-def suite_riordan_group(seed: int = 0, order: int = 10, draws: int = 5,
-                        ladder_nmax: int = 8) -> dict:
+def suite_riordan_group(seed: int = 0) -> dict:
     """Group axioms on random proper pairs at truncation order 10, then the
     ladder actions P s_n = n s_(n-1), M s_n = s_(n+1) on the four catalog
     Sheffer sequences for n <= 8."""
+    order, ladder_nmax = 10, 8
     rng = random.Random(seed)
     ident = identity_pair(order)
     cases = []
-    for i in range(draws):
+    for i in range(5):
         p1 = _random_pair(rng, order)
         p2 = _random_pair(rng, order)
         p3 = _random_pair(rng, order)
@@ -459,11 +466,12 @@ def suite_riordan_group(seed: int = 0, order: int = 10, draws: int = 5,
     return {"suite": "riordan-group", "cases": cases}
 
 
-def suite_blasiak(seed: int = 0, nd: int = 6, nl: int = 6) -> dict:
+def suite_blasiak(seed: int = 0) -> dict:
     """The normally ordered exponential of the Sheffer raising element,
     exp(lambda X) = :g(ad)/g(bbar) exp[(bbar - ad) a]:, coefficient by
-    coefficient through ad-degree nd and lambda-order nl for each catalog
+    coefficient through ad-degree 6 and lambda-order 6 for each catalog
     pair."""
+    nd = nl = 6
     cases = []
     for name in CATALOG_NAMES:
         pair = catalog(name, nd + nl + 1)

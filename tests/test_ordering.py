@@ -1,6 +1,7 @@
 """Ordered powers and exponentials: closed routes against the rewriting
 oracle, plus the adjoint symmetry and the Sheffer exponential identity."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,9 @@ from bosonorder.ordering import (OperatorSeries, SingleAnnihilatorWord,
                                  laguerre_power, oracle_exponential,
                                  power_normal_form, power_symbol,
                                  s_ordered_symbol, weyl_power_aaa)
-from bosonorder.riordan import as_riordan, catalog
+from bosonorder.riordan import RiordanPair, as_riordan, catalog
 from bosonorder.scalars import SPoly
+from bosonorder.series import Series
 from bosonorder.weyl import (ClassicalPoly, NormalForm, anti_normal_order,
                              normal_order, s_quantize)
 
@@ -121,10 +123,35 @@ def test_weyl_power_aaa_small():
     assert sym.coeff(8, 4) == 1
 
 
+def _random_sheffer_pair(rng, order):
+    def coeff():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+    g = Series([1] + [coeff() for _ in range(order)], order)
+    f = Series([0, 1] + [coeff() for _ in range(order - 1)], order)
+    return RiordanPair(g, f, "sheffer")
+
+
 def test_blasiak_identity_small():
     for name in ("touchard", "hermite"):
         out = blasiak_identity_check(catalog(name, 9), 4, 4)
         assert out["equal"], out["mismatches"]
+    rng = random.Random(4)
+    for _ in range(3):
+        out = blasiak_identity_check(_random_sheffer_pair(rng, 9), 4, 4)
+        assert out["equal"], out["mismatches"]
+
+
+def test_blasiak_check_detects_a_wrong_reversion(monkeypatch):
+    revert = Series.revert
+
+    def wrong_revert(self):
+        g = revert(self)
+        return g + Series.variable(g.order) ** 3
+
+    monkeypatch.setattr(Series, "revert", wrong_revert)
+    out = blasiak_identity_check(catalog("touchard", 9), 4, 4)
+    assert not out["equal"]
+    assert out["mismatches"][:2] == [(0, 1), (1, 1)]
 
 
 def test_blasiak_guards():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bosonorder.scalars import SPoly
-from bosonorder.series import BiSeries, Series
+from bosonorder.series import Series
 
 N = 8
 
@@ -139,32 +139,3 @@ def test_json_round_trip():
     f = Series((1, s, 2 * s * s - 1), 4)
     assert Series.from_json(f.to_json()) == f
 
-
-# -- bivariate boxes ------------------------------------------------------
-
-def test_biseries_product_and_slices():
-    x = BiSeries.var_x(3, 3)
-    u = BiSeries.var_u(3, 3)
-    w = (x + u) * (x - u)
-    assert w.coeff(2, 0) == 1
-    assert w.coeff(0, 2) == -1
-    assert w.coeff(1, 1) == 0
-    sl = (x * u).x_slice(1)
-    assert sl[1] == 1 and sl[0] == 0
-
-
-def test_biseries_compose_series():
-    # g(w) for univariate g must reduce to ordinary composition on the
-    # diagonal-free slice u = 0.
-    g = (1 + Series.variable(8)).log()
-    w = BiSeries.var_x(4, 4) + BiSeries.var_u(4, 4)
-    out = w.compose_series(g)
-    base = g  # log(1 + x)
-    for n in range(5):
-        assert out.coeff(n, 0) == base[n]
-
-
-def test_biseries_reciprocal():
-    one = BiSeries.const(1, 3, 3)
-    w = one + BiSeries.var_x(3, 3) * 2 + BiSeries.var_u(3, 3)
-    assert w * w.reciprocal() == one
