@@ -18,9 +18,9 @@ Three independent computational routes are provided and cross-checked:
 
       d(z) = (1 + A z)^(r/A)          h(z) = ((1 + A z)^(B/A) - 1)/B
 
-  with the A -> 0 and B -> 0 limit branches taken analytically:
-  d = e^(r z) when A = 0; h = (e^(B z) - 1)/B when A = 0;
-  h = log(1 + A z)/A when B = 0; h = z when A = B = 0.
+  computed as d = exp(r L_A), h = E_B(L_A) from L_c = log(1 + c z)/c and
+  E_b(x) = (e^(b x) - 1)/b, which are z and x at c = 0 and b = 0, so one
+  formula holds for every (A, B), the limits A = 0 and B = 0 included.
 
 Duality: the inverse array of HS(A, B, r) is HS(B, A, -r); negating all
 three parameters multiplies entries by (-1)^(n-k).
@@ -54,24 +54,11 @@ class HSParams:
         """Parameters of the inverse array."""
         return HSParams(self.B, self.A, -self.r)
 
-    def negated(self) -> "HSParams":
-        return HSParams(-self.A, -self.B, -self.r)
-
 
 def hs_pair(p: HSParams, N: int) -> RiordanPair:
     """The exponential Riordan pair [d, h] of HS(A, B, r), order N."""
-    z = Series.variable(N)
-    A, B, r = p.A, p.B, p.r
-    if A == 0:
-        d = (r * z).exp()
-        h = ((B * z).exp() - 1) / B if B != 0 else z
-    else:
-        d = (1 + A * z).pow_rational(r / A)
-        if B != 0:
-            h = ((1 + A * z).pow_rational(B / A) - 1) / B
-        else:
-            h = (1 + A * z).log() / A
-    return RiordanPair(d, h, "riordan")
+    la = Series.log1p_over(p.A, N)
+    return RiordanPair((p.r * la).exp(), la.expm1_over(p.B), "riordan")
 
 
 def hs_coeff_sum(p: HSParams, n: int, k: int) -> Fraction:

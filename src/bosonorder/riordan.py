@@ -75,8 +75,8 @@ class RiordanPair:
                            self.convention)
 
 
-def identity_pair(order: int, convention: str = RIORDAN) -> RiordanPair:
-    return RiordanPair(Series.one(order), Series.variable(order), convention)
+def identity_pair(order: int) -> RiordanPair:
+    return RiordanPair(Series.one(order), Series.variable(order), RIORDAN)
 
 
 def group_product(p1: RiordanPair, p2: RiordanPair) -> RiordanPair:
@@ -274,38 +274,32 @@ def ordinary_array_coeffs(d: Series, h: Series, N: int) -> Triangle:
 # ---------------------------------------------------------------------------
 
 def _apply_dseries(op: Series, poly: list) -> list:
-    """Apply a power series in D = d/dt to a polynomial in t (exact)."""
+    """Apply a D = d/dt series of order >= deg(poly) to a t-polynomial, exactly."""
     out = [SPoly() for _ in poly] or [SPoly()]
     cur = list(poly)
     k = 0
-    while cur and k <= op.order:
+    while cur:
         c = op[k]
         if not c.is_zero():
             for i, a in enumerate(cur):
                 out[i] = out[i] + c * a
         cur = [i * cur[i] for i in range(1, len(cur))]
         k += 1
-    if cur and k > op.order:
-        raise ValueError("operator series order too small for the input degree")
     return out
 
 
-def ladder_apply(p: RiordanPair, which: str, poly, order: int | None = None) -> list:
+def ladder_apply(p: RiordanPair, which: str, poly) -> list:
     """Apply the lowering or raising operator of a Sheffer pair to a t-polynomial.
 
-    ``poly`` is a coefficient list in t (ascending).  ``order`` is the
-    truncation used for the D-series; the default degree(poly)+1 is exact.
-    Returns a trimmed coefficient list.
+    ``poly`` is a coefficient list in t (ascending).  The D-series are
+    truncated at degree(poly)+1, which is exact.  Returns a trimmed
+    coefficient list.
     """
     if p.convention != SHEFFER:
         raise ValueError("ladder_apply expects a Sheffer-convention pair")
     coeffs = [as_spoly(c) for c in poly]
     coeffs = list(_tp_trim(coeffs))
-    deg = len(coeffs) - 1 if coeffs else 0
-    if order is None:
-        order = deg + 1
-    if order < deg:
-        raise ValueError("requested operator order cannot resolve the input degree")
+    order = max(len(coeffs), 1)
     g, f = p.first, p.second
     if which == "lowering":
         if p.order < order:
@@ -329,7 +323,7 @@ def ladder_apply(p: RiordanPair, which: str, poly, order: int | None = None) -> 
 # Catalog of classical Sheffer sequences.
 # ---------------------------------------------------------------------------
 
-def catalog(name: str, N: int, convention: str = SHEFFER) -> RiordanPair:
+def catalog(name: str, N: int) -> RiordanPair:
     """Classical sequences by name: touchard, hermite, laguerre, abel.
 
     touchard  Bell/Touchard polynomials    R[1, e^z - 1]   = S[1, log(1+D)]
@@ -340,15 +334,13 @@ def catalog(name: str, N: int, convention: str = SHEFFER) -> RiordanPair:
     z = Series.variable(N)
     key = name.strip().lower()
     if key == "touchard":
-        pair = RiordanPair(Series.one(N), (1 + z).log(), SHEFFER)
-    elif key == "hermite":
-        pair = RiordanPair((z * z / 2).exp(), z, SHEFFER)
-    elif key == "laguerre":
-        pair = RiordanPair((1 + z).reciprocal(), z / (1 + z), SHEFFER)
-    elif key == "abel":
-        pair = RiordanPair(Series.one(N), z * z.exp(), SHEFFER)
-    else:
-        raise ValueError(
-            f"unknown catalog sequence {name!r}; "
-            "available: touchard, hermite, laguerre, abel")
-    return pair if convention == SHEFFER else as_riordan(pair)
+        return RiordanPair(Series.one(N), (1 + z).log(), SHEFFER)
+    if key == "hermite":
+        return RiordanPair((z * z / 2).exp(), z, SHEFFER)
+    if key == "laguerre":
+        return RiordanPair((1 + z).reciprocal(), z / (1 + z), SHEFFER)
+    if key == "abel":
+        return RiordanPair(Series.one(N), z * z.exp(), SHEFFER)
+    raise ValueError(
+        f"unknown catalog sequence {name!r}; "
+        "available: touchard, hermite, laguerre, abel")

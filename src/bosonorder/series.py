@@ -79,13 +79,6 @@ class Series:
             )
         return Series(self.coeffs, order)
 
-    def valuation(self) -> int:
-        """Index of the first nonzero coefficient; order+1 if none."""
-        for n, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return n
-        return self.order + 1
-
     # -- ring operations -------------------------------------------------
 
     @staticmethod
@@ -258,6 +251,25 @@ class Series:
                 acc = acc + (k * out[k]) * self.coeffs[n - k]
             out.append(self.coeffs[n] - acc / n)
         return Series(out, self.order)
+
+    @staticmethod
+    def log1p_over(c, order: int) -> "Series":
+        """log(1 + c z)/c = sum_{n>=1} (-c)^(n-1) z^n/n for c in Q[s]; it is
+        z at c = 0, and nothing is divided by c."""
+        step = -as_spoly(c)
+        out = [SPoly()]
+        power = SPoly.const(1)
+        for n in range(1, order + 1):
+            out.append(power / n)
+            power = power * step
+        return Series(out, order)
+
+    def expm1_over(self, a) -> "Series":
+        """(exp(a f) - 1)/a for rational a and f with zero constant term;
+        f itself at a = 0."""
+        if a == 0:
+            return self
+        return ((a * self).exp() - 1) / a
 
     def pow_rational(self, q) -> "Series":
         """f^q = exp(q log f) for rational q; requires constant term 1."""

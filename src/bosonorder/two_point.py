@@ -14,12 +14,13 @@ the defining series of T(A, B, r, r'; s) in Sheffer convention are
     g(D) = ((1+s)/2) (P/M)^(-r/B) + ((1-s)/2) (M/P)^(r'/B)
     f(D) = (M^(-A/B) - P^(-A/B)) / A
 
-with every limit branch taken analytically:
+and come from the helpers L_c and E_a of the Hsu-Shiue pair.  With
+w+- = (1+-s)/2, X = w+ L_(-w+ B) = -(log M)/B and Y = -w- L_(w- B),
 
-    A = 0:        f = (log P - log M)/B
-    B = 0:        g = ((1+s)/2) e^(-r D) + ((1-s)/2) e^(-r' D)
-                  f = (e^(A(1+s)D/2) - e^(-A(1-s)D/2)) / A
-    A = B = 0:    f = D
+    g = w+ e^(-r Lambda) + w- e^(-r' Lambda)       f = E_A(X) - E_A(Y)
+
+where Lambda = X - Y = (log P - log M)/B, at every (A, B), the limits A = 0
+and B = 0 included.
 
 At the endpoints the family collapses onto the one-point one:
 
@@ -65,31 +66,14 @@ class TwoPointParams:
 
 def two_point_pair(p: TwoPointParams, N: int) -> RiordanPair:
     """The Sheffer-convention pair [g, f] of the two-point family, order N."""
-    s = p.s
-    wp = (1 + s) / 2
-    wm = (1 - s) / 2
-    z = Series.variable(N)
-    A, B, r, rp = p.A, p.B, p.r, p.rp
-
-    if B != 0:
-        pfac = 1 + (wm * B) * z
-        mfac = 1 - (wp * B) * z
-        g = wp * (pfac / mfac).pow_rational(-r / B) \
-            + wm * (mfac / pfac).pow_rational(rp / B)
-        if A != 0:
-            f = (mfac.pow_rational(-A / B) - pfac.pow_rational(-A / B)) / A
-        else:
-            f = (pfac.log() - mfac.log()) / B
-    else:
-        g = wp * ((-r) * z).exp() + wm * ((-rp) * z).exp()
-        if A != 0:
-            f = (((A * wp) * z).exp() - ((-A * wm) * z).exp()) / A
-        else:
-            f = z
-    pair = RiordanPair(g, f, SHEFFER)
-    # Defensive: the constructor has already confirmed g = 1 + O(D) and
-    # f = D + O(D^2), which every branch above must produce.
-    return pair
+    wp = (1 + p.s) / 2
+    wm = (1 - p.s) / 2
+    x = wp * Series.log1p_over(-wp * p.B, N)
+    y = -wm * Series.log1p_over(wm * p.B, N)
+    lam = x - y
+    g = wp * (-p.r * lam).exp() + wm * (-p.rp * lam).exp()
+    f = x.expm1_over(p.A) - y.expm1_over(p.A)
+    return RiordanPair(g, f, SHEFFER)
 
 
 def two_point_egf(p: TwoPointParams, N: int) -> BivariateEGF:

@@ -257,8 +257,8 @@ def suite_hsu_shiue(seed: int = 0) -> dict:
 def suite_two_point_reduction(seed: int = 0) -> dict:
     """At the endpoints the two-point family collapses to one-point arrays:
     T(A,B,r,r'; -1) = HS(-A,B,r') and T(A,B,r,r'; +1) = HS(A,-B,r), checked
-    as equality of the generating pairs.  The first draws pin the A = 0 and
-    B = 0 limit branches; the rest are generic."""
+    as equality of the generating pairs.  The first draws take A = 0, B = 0
+    and both, where L_c and E_a reduce to z and x; the rest are generic."""
     order = 8
     rng = random.Random(seed)
     cases = []

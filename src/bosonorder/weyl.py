@@ -217,10 +217,6 @@ class NormalForm(_Table):
     def __rmul__(self, other):
         return self.scale(other)
 
-    def adjoint(self) -> "NormalForm":
-        """Conjugate transpose: ad^n a^m maps to ad^m a^n."""
-        return NormalForm((((m, n), c) for (n, m), c in self.table.items()))
-
     def symbol(self) -> "ClassicalPoly":
         """The normal-order symbol: keys carried over verbatim."""
         return ClassicalPoly(self.table.items())

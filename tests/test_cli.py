@@ -199,7 +199,7 @@ def test_byte_level_determinism(capsys):
     assert first == second
 
 
-def test_console_script_installed():
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "bosonorder", "hs-triangle", "--A", "0",
          "--B", "1", "--r", "0", "--N", "3", "--format", "csv"],

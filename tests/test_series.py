@@ -14,9 +14,10 @@ coeff_st = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 series_st = st.lists(coeff_st, max_size=N + 1).map(lambda cs: Series(cs, N))
 # composable: zero constant term
 inner_st = st.lists(coeff_st, max_size=N).map(lambda cs: Series([0] + cs, N))
-# revertible: f = z + O(z^2) after the unit-linear normalization
-monic_inner_st = st.lists(coeff_st, max_size=N - 1).map(
-    lambda cs: Series([0, 1] + cs, N))
+# revertible: f = c z + O(z^2) with a rational unit c, often c = 1
+linear_st = st.one_of(st.just(Fraction(1)), coeff_st.filter(lambda c: c != 0))
+revertible_st = st.builds(lambda c, cs: Series([0, c] + cs, N), linear_st,
+                          st.lists(coeff_st, max_size=N - 1))
 
 
 def test_constructors_and_indexing():
@@ -78,10 +79,8 @@ def test_compose_requires_zero_constant():
         z.compose(1 + z)
 
 
-def test_valuation_and_truncate():
+def test_truncate():
     z = Series.variable(5)
-    assert (z * z * 3).valuation() == 2
-    assert Series.zero(5).valuation() == 6
     t = (1 + z).truncate(2)
     assert t.order == 2
 
@@ -107,7 +106,7 @@ def test_composition_is_associative(f, g, h):
     assert f.compose(g).compose(h).agrees(f.compose(g.compose(h)), N)
 
 
-@given(monic_inner_st)
+@given(revertible_st)
 def test_reversion_round_trip(f):
     fbar = f.revert()
     z = Series.variable(N)
@@ -132,6 +131,19 @@ def test_pow_rational_needs_unit_constant():
     z = Series.variable(3)
     with pytest.raises(ValueError):
         (2 + z).pow_rational(Fraction(1, 2))
+
+
+def test_log1p_over_and_expm1_over():
+    z = Series.variable(6)
+    c = Fraction(-2, 3)
+    assert c * Series.log1p_over(c, 6) == (1 + c * z).log()
+    assert Series.log1p_over(0, 6) == z
+    s = SPoly.s()
+    assert Series.log1p_over(s, 6)[3] == s * s / 3
+    x = z - Fraction(5, 2) * z * z
+    assert x.expm1_over(0) == x
+    a = Fraction(3, 4)
+    assert a * x.expm1_over(a) + 1 == (a * x).exp()
 
 
 def test_json_round_trip():
