@@ -13,12 +13,19 @@ a numeric choice of s is an evaluation, never a separate code path.
 
 Rationals are ``fractions.Fraction`` throughout (exact, lowest terms,
 positive denominator).  Serialized rationals are strings "p/q" or "p".
+
+An :class:`SPoly` stores a trimmed tuple of lowest-terms Fractions, and its
+product of two non-constant polynomials is computed on integers: each factor
+is scaled to integer numerators over the lcm of its denominators, the two
+integer lists are convolved, and each product coefficient is built once as
+one Fraction over the product of the two lcms (the common-denominator
+arithmetic of Knuth, TAOCP Vol. 2, sections 4.5.1 and 4.6).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 
 def parse_rational(text: str) -> Fraction:
@@ -64,6 +71,14 @@ class SPoly:
     Arithmetic coerces ints and Fractions, so degree-0 polynomials behave
     as plain rationals.
 
+    ``coeffs`` is always a tuple of lowest-terms ``Fraction`` values (exact
+    type, never a subclass or an int) with a nonzero last entry; equality,
+    hashing and serialization read it directly.  The constructor passes
+    Fractions through and coerces anything else with ``Fraction(c)``.
+    A product of two non-constant polynomials is an integer convolution
+    over the two lcm denominators (see the module docstring); a product
+    with a constant factor multiplies the coefficients one by one.
+
     >>> s = SPoly.s()
     >>> print((1 + s) * (1 - s))
     1 - s^2
@@ -72,7 +87,7 @@ class SPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -125,8 +140,10 @@ class SPoly:
         other = SPoly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return SPoly(self.coeff(k) + other.coeff(k) for k in range(n))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return SPoly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     __radd__ = __add__
 
@@ -146,14 +163,25 @@ class SPoly:
         other = SPoly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return SPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return SPoly(out)
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            c = b[0]
+            return SPoly([x * c for x in a])
+        da = lcm(*[x.denominator for x in a])
+        db = lcm(*[y.denominator for y in b])
+        nb = [y.numerator * (db // y.denominator) for y in b]
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                x = x.numerator * (da // x.denominator)
+                for j, y in enumerate(nb, i):
+                    out[j] += x * y
+        d = da * db
+        return SPoly([Fraction(n, d) for n in out])
 
     __rmul__ = __mul__
 

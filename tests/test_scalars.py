@@ -1,6 +1,7 @@
 """Scalar layer: rationals-with-an-s and the stride falling factorial."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -76,6 +77,19 @@ def test_as_s_aliases():
         as_s("sideways")
 
 
+def test_spoly_coercion_and_invariants():
+    class Half(Fraction):
+        pass
+
+    p = SPoly([True, 2, Fraction(1, 2), Half(3, 6)])
+    assert p.coeffs == (1, 2, Fraction(1, 2), Fraction(1, 2))
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert hash(SPoly.const(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert SPoly.const(3) == 3
+    assert ((1 + S) - S).degree == 0
+    assert (S - S).is_zero()
+
+
 def test_binomial_outside_range():
     assert binomial(4, 2) == 6
     assert binomial(4, -1) == 0
@@ -106,3 +120,61 @@ def test_eval_is_a_homomorphism(p, x):
 @given(spoly_st)
 def test_json_round_trip(p):
     assert SPoly.from_json(p.to_json()) == p
+
+
+# -- the integer kernels against the coefficient-wise Fraction loops ---------
+
+wide_fractions_st = st.fractions(min_value=-50, max_value=50,
+                                 max_denominator=60)
+coeff_lists_st = st.lists(wide_fractions_st, max_size=13)
+
+
+@st.composite
+def spoly_pairs(draw):
+    """(p, q) of degree up to 12, where q's top k coefficients are +-p's, so
+    that p + q or p - q cancels down to a lower degree (k = 0: unrelated)."""
+    p = draw(coeff_lists_st)
+    k = draw(st.integers(0, len(p)))
+    if k:
+        low = draw(st.lists(wide_fractions_st, min_size=len(p) - k,
+                            max_size=len(p) - k))
+        sign = draw(st.sampled_from((1, -1)))
+        q = low + [sign * c for c in p[len(p) - k:]]
+    else:
+        q = draw(coeff_lists_st)
+    return SPoly(p), SPoly(q)
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def reference_mul(p, q):
+    if not p.coeffs or not q.coeffs:
+        return ()
+    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return _trim(out)
+
+
+def reference_add(p, q, sign=1):
+    n = max(len(p.coeffs), len(q.coeffs))
+    return _trim(p.coeff(k) + sign * q.coeff(k) for k in range(n))
+
+
+@given(spoly_pairs())
+def test_kernels_match_fraction_loops(pair):
+    p, q = pair
+    for got, want in ((p * q, reference_mul(p, q)),
+                      (p + q, reference_add(p, q)),
+                      (p - q, reference_add(p, q, -1))):
+        assert got.coeffs == want
+        assert not got.coeffs or got.coeffs[-1] != 0
+        for c in got.coeffs:
+            assert type(c) is Fraction
+            assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
