@@ -17,6 +17,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -187,7 +188,13 @@ def _add_s_flag(sp) -> None:
                          "normal/weyl/antinormal/symbolic (default symbolic)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and then shared.
+
+    ``parse_args`` leaves it unchanged, and a fresh parser per call would
+    cost ~2 ms and leave its subparsers and formatters as cyclic garbage.
+    """
     parser = argparse.ArgumentParser(
         prog="bosonorder",
         description="Exact generalized-Stirling arrays and s-ordered "

@@ -14,18 +14,25 @@ a numeric choice of s is an evaluation, never a separate code path.
 Rationals are ``fractions.Fraction`` throughout (exact, lowest terms,
 positive denominator).  Serialized rationals are strings "p/q" or "p".
 
-An :class:`SPoly` stores a trimmed tuple of lowest-terms Fractions, and its
-product of two non-constant polynomials is computed on integers: each factor
-is scaled to integer numerators over the lcm of its denominators, the two
-integer lists are convolved, and each product coefficient is built once as
-one Fraction over the product of the two lcms (the common-denominator
-arithmetic of Knuth, TAOCP Vol. 2, sections 4.5.1 and 4.6).
+An :class:`SPoly` stores integer numerators over one positive common
+denominator, in canonical form (trimmed, no common factor, zero as
+``([], 1)``), and does its ring arithmetic on those integers with the
+common-denominator method of Knuth, TAOCP Vol. 2, section 4.5.1:
+
+- a/da + b/db = (a*fa + b*fb) / (da*fa) with g = gcd(da, db), fa = db/g and
+  fb = da/g; a common factor of the sum divides g, so only g is searched;
+- (a/da)(b/db) first cancels gcd(content(a), db) and gcd(da, content(b)),
+  then convolves the integer lists; by Gauss's lemma no factor is left.
+
+The gcd searches are loops that stop as soon as they reach 1, and no
+Fraction is built per coefficient.  The lowest-terms ``Fraction``
+coefficients are derived only for output, evaluation and exact division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 
 def parse_rational(text: str) -> Fraction:
@@ -67,30 +74,45 @@ def falling(x, n: int, stride) -> Fraction:
 class SPoly:
     """Dense polynomial in s over Q, trimmed, immutable.
 
-    Coefficients are stored ascending:  SPoly([1, 0, -2])  is  1 - 2*s**2.
+    Coefficients are ascending:  SPoly([1, 0, -2])  is  1 - 2*s**2.
     Arithmetic coerces ints and Fractions, so degree-0 polynomials behave
     as plain rationals.
 
-    ``coeffs`` is always a tuple of lowest-terms ``Fraction`` values (exact
-    type, never a subclass or an int) with a nonzero last entry; equality,
-    hashing and serialization read it directly.  The constructor passes
-    Fractions through and coerces anything else with ``Fraction(c)``.
-    A product of two non-constant polynomials is an integer convolution
-    over the two lcm denominators (see the module docstring); a product
-    with a constant factor multiplies the coefficients one by one.
+    Storage is a list of integer numerators over one positive common
+    denominator, in canonical form: the last numerator is nonzero, the
+    content gcd(den, *num) is 1, and zero is ``([], 1)``.  Equal
+    polynomials therefore store equal data.  ``+``, ``-``, ``*``,
+    negation, :meth:`deriv` and division by a rational run on these ints
+    (see the module docstring) and build no ``Fraction`` per coefficient.
+    The constructor coerces anything that is not exactly a ``Fraction``
+    with ``Fraction(c)``.
+
+    ``coeffs`` is derived on each read: a tuple of lowest-terms ``Fraction``
+    values (exact type) with a nonzero last entry.  ``str``,
+    :meth:`to_json`, :meth:`eval`, :meth:`exact_div` and the hash of a
+    non-constant polynomial read it, so none of them sees the storage.
 
     >>> s = SPoly.s()
     >>> print((1 + s) * (1 - s))
     1 - s^2
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        fs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        den = 1
+        for f in fs:
+            if f.denominator != 1:
+                den = lcm(den, f.denominator)
+        num = [f.numerator * (den // f.denominator) for f in fs]
+        while num and not num[-1]:
+            num.pop()
+        # No common factor to remove: for each prime p of den, some input
+        # denominator holds den's full power of p, and that input's scaled
+        # numerator is prime to p.
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("SPoly is immutable")
@@ -107,24 +129,32 @@ class SPoly:
     # -- queries ---------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """Ascending coefficients as lowest-terms Fractions, trimmed."""
+        den = self._den
+        return tuple([Fraction(n, den) for n in self._num])
+
+    @property
     def degree(self) -> int:
         """Degree, with the zero polynomial assigned -1."""
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def is_rational(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self._num) <= 1
 
     def as_rational(self) -> Fraction:
         """The value of a degree <= 0 polynomial; error if s actually occurs."""
-        if len(self.coeffs) > 1:
+        num = self._num
+        if len(num) > 1:
             raise ValueError(f"not a rational: {self}")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(num[0], self._den) if num else Fraction(0)
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        num = self._num
+        return Fraction(num[k], self._den) if 0 <= k < len(num) else Fraction(0)
 
     # -- ring operations -------------------------------------------------
 
@@ -133,22 +163,36 @@ class SPoly:
         if isinstance(x, SPoly):
             return x
         if isinstance(x, (int, Fraction)):
-            return SPoly((x,))
+            return _canonical([x.numerator], x.denominator, 1)
         return NotImplemented
 
     def __add__(self, other):
-        other = SPoly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        if type(other) is not SPoly:
+            other = SPoly._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, da = self._num, self._den
+        b, db = other._num, other._den
         if len(a) < len(b):
-            a, b = b, a
-        return SPoly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+            a, da, b, db = b, db, a, da
+        # a/da + b/db = (a*fa + b*fb) / (da*fa) with fa = db/g, fb = da/g,
+        # g = gcd(da, db); the content of the sum divides g (Knuth 4.5.1).
+        if da == db:
+            g = da
+            out = [x + y for x, y in zip(a, b)]
+            out += a[len(b):]
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            out = [x * fa + y * fb for x, y in zip(a, b)]
+            out += [x * fa for x in a[len(b):]]
+            da *= fa
+        return _canonical(out, da, g)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SPoly(-c for c in self.coeffs)
+        return _canonical([-x for x in self._num], self._den, 1)
 
     def __sub__(self, other):
         other = SPoly._coerce(other)
@@ -160,28 +204,36 @@ class SPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        other = SPoly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        if type(other) is not SPoly:
+            other = SPoly._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, da = self._num, self._den
+        b, db = other._num, other._den
         if not a or not b:
-            return SPoly()
-        if len(a) == 1:
+            return _canonical([], 1, 1)
+        # (a/da)(b/db): cancel gcd(content(a), db) and gcd(content(b), da)
+        # first; what is left has content 1 by Gauss's lemma.
+        ga = _gcd_into(db, a)
+        if ga != 1:
+            a = [x // ga for x in a]
+            db //= ga
+        gb = _gcd_into(da, b)
+        if gb != 1:
+            b = [y // gb for y in b]
+            da //= gb
+        if len(a) < len(b):
             a, b = b, a
         if len(b) == 1:
             c = b[0]
-            return SPoly([x * c for x in a])
-        da = lcm(*[x.denominator for x in a])
-        db = lcm(*[y.denominator for y in b])
-        nb = [y.numerator * (db // y.denominator) for y in b]
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                x = x.numerator * (da // x.denominator)
-                for j, y in enumerate(nb, i):
-                    out[j] += x * y
-        d = da * db
-        return SPoly([Fraction(n, d) for n in out])
+            out = [x * c for x in a]
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+        return _canonical(out, da * db, 1)
 
     __rmul__ = __mul__
 
@@ -192,7 +244,11 @@ class SPoly:
         other = Fraction(other)
         if other == 0:
             raise ZeroDivisionError("division of SPoly by zero")
-        return SPoly(c / other for c in self.coeffs)
+        n, d = other.numerator, other.denominator
+        if n < 0:
+            n, d = -n, -d
+        den = self._den * n
+        return _canonical([x * d for x in self._num], den, den)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -234,7 +290,8 @@ class SPoly:
 
     def deriv(self) -> "SPoly":
         """d/ds."""
-        return SPoly(k * c for k, c in enumerate(self.coeffs) if k > 0)
+        num, den = self._num, self._den
+        return _canonical([k * num[k] for k in range(1, len(num))], den, den)
 
     def eval(self, value) -> Fraction:
         """Evaluate at a rational value of s (Horner)."""
@@ -247,24 +304,26 @@ class SPoly:
     # -- comparisons, hashing, display ----------------------------------
 
     def __eq__(self, other):
-        other = SPoly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        if type(other) is not SPoly:
+            other = SPoly._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        if len(self.coeffs) <= 1:
-            return hash(self.coeffs[0] if self.coeffs else Fraction(0))
+        if len(self._num) <= 1:
+            return hash(self.as_rational())
         return hash(self.coeffs)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def __str__(self):
-        if not self.coeffs:
+        cs = self.coeffs
+        if not cs:
             return "0"
         parts = []
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(cs):
             if c == 0:
                 continue
             if k == 0:
@@ -292,6 +351,42 @@ class SPoly:
     @staticmethod
     def from_json(data) -> "SPoly":
         return SPoly(parse_rational(c) for c in data)
+
+
+_new = object.__new__
+_set_num = SPoly._num.__set__
+_set_den = SPoly._den.__set__
+
+
+def _gcd_into(g: int, num: list) -> int:
+    """gcd(g, *num) by a loop that stops at 1; builds no argument tuple."""
+    for n in num:
+        if g == 1:
+            break
+        g = gcd(g, n)
+    return g
+
+
+def _canonical(num: list, den: int, g: int) -> SPoly:
+    """The SPoly num/den, with num trimmed in place and the content removed.
+
+    ``g`` is a multiple of every common factor of den and num that can occur
+    (den itself always is; 1 says there is none).  num stays a list, so a
+    result allocates no tuple.
+    """
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        den = 1
+    elif g != 1:
+        g = _gcd_into(g, num)
+        if g != 1:
+            num = [n // g for n in num]
+            den //= g
+    p = _new(SPoly)
+    _set_num(p, num)
+    _set_den(p, den)
+    return p
 
 
 #: The symbolic ordering parameter, for convenience.

@@ -2,6 +2,8 @@
 promise that every shell example shown in the README actually produces
 the output printed next to it."""
 
+import argparse
+import gc
 import json
 import shlex
 import subprocess
@@ -237,3 +239,23 @@ def test_readme_examples_are_current(capsys):
         assert code == 0, f"bosonorder {' '.join(argv)} exited {code}"
         assert captured.out == expected, \
             f"README output for 'bosonorder {' '.join(argv)}' has drifted"
+
+
+def test_main_leaves_no_parser_garbage(capsys):
+    """cli.main reuses one parser, so repeated calls leave no ArgumentParser
+    behind as cyclic garbage."""
+    gc.collect()
+    start = len(gc.garbage)
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(10):
+            assert cli.main(["order", "--L", "2", "--R", "1", "--N", "4"]) == 0
+        gc.collect()
+        parsers = [obj for obj in gc.garbage[start:]
+                   if isinstance(obj, argparse.ArgumentParser)]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[start:]
+    capsys.readouterr()
+    assert parsers == []

@@ -178,3 +178,78 @@ def test_kernels_match_fraction_loops(pair):
         for c in got.coeffs:
             assert type(c) is Fraction
             assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+# -- the integer storage: canonical form and the derived coefficients --------
+
+def assert_canonical(p):
+    """Trimmed numerators over a positive denominator with no common factor,
+    and zero stored one way only."""
+    num, den = p._num, p._den
+    assert type(num) is list and type(den) is int and den > 0
+    assert not num or num[-1] != 0
+    g = den
+    for n in num:
+        g = gcd(g, n)
+    assert g == 1
+    assert num or den == 1
+
+
+nonzero_fractions_st = wide_fractions_st.filter(bool)
+
+
+@given(spoly_pairs(), nonzero_fractions_st, st.integers(0, 3))
+def test_results_are_canonical(pair, q, pad):
+    p, r = pair
+    cs = p.coeffs
+    padded = SPoly(list(cs) + [0] * pad)
+    results = (
+        (padded, cs),
+        (SPoly(int(c) for c in cs), _trim(int(c) for c in cs)),
+        (-p, tuple(-c for c in cs)),
+        (p.deriv(), tuple(k * c for k, c in enumerate(cs) if k)),
+        (p / q, tuple(c / q for c in cs)),
+        (p * q, tuple(c * q for c in cs)),
+        (p + q, reference_add(p, SPoly.const(q))),
+        (p + r, reference_add(p, r)),
+        (p - r, reference_add(p, r, -1)),
+        (p * r, reference_mul(p, r)),
+    )
+    for got, want in results:
+        assert_canonical(got)
+        assert got.coeffs == want
+        again = SPoly(got.coeffs)
+        assert again == got and hash(again) == hash(got)
+        if got.degree <= 0:
+            assert hash(got) == hash(got.as_rational())
+
+
+def test_zero_is_stored_one_way():
+    for zero in (SPoly(), SPoly([0, 0]), S - S, 0 * S, (1 + S) * 0,
+                 SPoly.const(5).deriv(), SPoly([Fraction(0, 3)]) / 7):
+        assert_canonical(zero)
+        assert zero._num == [] and zero._den == 1
+        assert zero.coeffs == () and hash(zero) == hash(Fraction(0)) == 0
+
+
+def test_formatting_over_an_uncancelled_denominator():
+    # stored over 6, but every coefficient is reduced on its own for output
+    p = SPoly([Fraction(1, 2), Fraction(1, 3), 0, Fraction(-5, 6)])
+    assert (p._num, p._den) == ([3, 2, 0, -5], 6)
+    assert str(p) == "1/2 + 1/3*s - 5/6*s^3"
+    assert p.to_json() == ["1/2", "1/3", "0", "-5/6"]
+    assert SPoly.from_json(p.to_json()) == p
+    assert p.coeffs == (Fraction(1, 2), Fraction(1, 3), 0, Fraction(-5, 6))
+    q = SPoly([Fraction(4, 6)])
+    assert (str(q), q.to_json()) == ("2/3", ["2/3"])
+    assert hash(q) == hash(Fraction(2, 3))
+    r = SPoly([Fraction(1, -2)])
+    assert (str(r), r.to_json()) == ("-1/2", ["-1/2"])
+    assert SPoly.from_json(r.to_json()) == r == Fraction(-1, 2)
+    gap = SPoly([Fraction(3, 4), 0, 0, Fraction(-1, 2), Fraction(2, 1)])
+    assert str(gap) == "3/4 - 1/2*s^3 + 2*s^4"
+    assert gap.to_json() == ["3/4", "0", "0", "-1/2", "2"]
+    assert SPoly.from_json(gap.to_json()) == gap
+    prod = SPoly([Fraction(1, 2), Fraction(1, 3)]) * SPoly([Fraction(1, 5), 1])
+    assert str(prod) == "1/10 + 17/30*s + 1/3*s^2"
+    assert prod.to_json() == ["1/10", "17/30", "1/3"]
