@@ -17,15 +17,15 @@ from .series import Series
 from .weyl import (AntiNormalForm, ClassicalPoly, NormalForm, Word,
                    anti_normal_order, convert_order, normal_order, s_quantize,
                    s_transform, weyl_quantize_monomial)
-from .riordan import (BivariateEGF, RiordanPair, Triangle, apply_to_egf,
-                      array_coeffs, as_riordan, as_sheffer, catalog,
-                      group_inverse, group_product, identity_pair,
-                      ladder_apply, ordinary_array_coeffs, pair_to_egf)
+from .riordan import (BivariateEGF, RiordanPair, Triangle, array_coeffs,
+                      as_riordan, catalog, group_inverse, group_product,
+                      identity_pair, ladder_apply, ordinary_array_coeffs,
+                      pair_to_egf)
 from .hsu_shiue import (HSParams, hs_coeff_sum, hs_egf, hs_pair,
                         hs_pde_residual, hs_triangle_rec)
 from .two_point import (TwoPointParams, closed_form_e1, quartic_leading_coeffs,
                         quartic_residual, two_point_egf, two_point_pair)
-from .ordering import (OperatorSeries, SingleAnnihilatorWord, SymbolSeries,
+from .ordering import (SingleAnnihilatorWord, SymbolSeries,
                        blasiak_identity_check, exp_number_closed_form,
                        exp_word_closed_form, laguerre_power, oracle_exponential,
                        power_normal_form, power_symbol, s_ordered_symbol,

@@ -13,7 +13,10 @@ computation routes exist for exp(lambda w) and w^n:
   (A, B, r, r') = (e, 1, -L, R).
 
 The two routes share nothing but the scalar types, and every verification
-suite drives them onto the same normal forms.
+suite drives them onto the same normal forms.  Both deliver exp(lambda w)
+as a plain list whose entry n is the lambda^n coefficient, a NormalForm:
+:func:`oracle_exponential` directly, the closed route through
+:meth:`SymbolSeries.quantize` of the s-ordered symbol series.
 """
 
 from __future__ import annotations
@@ -54,34 +57,6 @@ class SingleAnnihilatorWord:
         return TwoPointParams(self.e, 1, -self.L, self.R, as_s(s))
 
 
-class OperatorSeries:
-    """Truncated series in lambda whose coefficients are normal forms."""
-
-    __slots__ = ("terms", "order")
-
-    def __init__(self, terms, order: int):
-        ts = list(terms)
-        if len(ts) != order + 1:
-            raise ValueError("need exactly order+1 coefficient tables")
-        object.__setattr__(self, "terms", tuple(ts))
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OperatorSeries is immutable")
-
-    def __getitem__(self, n: int) -> NormalForm:
-        return self.terms[n]
-
-    def __eq__(self, other):
-        if not isinstance(other, OperatorSeries):
-            return NotImplemented
-        return self.order == other.order and self.terms == other.terms
-
-    def to_json(self) -> dict:
-        return {"trunc_order": self.order,
-                "terms": [t.to_json() for t in self.terms]}
-
-
 class SymbolSeries:
     """Truncated series in lambda whose coefficients are classical symbols,
     tagged with the ordering parameter s they belong to."""
@@ -102,10 +77,10 @@ class SymbolSeries:
     def __getitem__(self, n: int) -> ClassicalPoly:
         return self.terms[n]
 
-    def quantize(self) -> OperatorSeries:
-        """s-quantize every lambda coefficient at this series' own s."""
-        return OperatorSeries([s_quantize(t, self.s) for t in self.terms],
-                              self.order)
+    def quantize(self) -> list:
+        """s-quantize every lambda coefficient at this series' own s; the
+        lambda^n coefficient is entry n of the returned list of NormalForms."""
+        return [s_quantize(t, self.s) for t in self.terms]
 
     def __eq__(self, other):
         if not isinstance(other, SymbolSeries):
@@ -122,18 +97,16 @@ class SymbolSeries:
 # Oracle route: pure word rewriting.
 # ---------------------------------------------------------------------------
 
-def oracle_exponential(w: SingleAnnihilatorWord, N: int) -> OperatorSeries:
-    """exp(lambda w) to lambda-order N by rewriting each power w^n afresh.
+def oracle_exponential(w: SingleAnnihilatorWord, N: int) -> list:
+    """exp(lambda w) to lambda-order N by rewriting each power w^n afresh,
+    as the list of its N + 1 lambda coefficients (NormalForms).
 
     Deliberately touches no triangle or series machinery: the n-th
     coefficient is normal_order(w^n)/n!, nothing else.
     """
     word = w.word()
-    terms = []
-    for n in range(N + 1):
-        nf = normal_order(word.power(n))
-        terms.append(nf.scale(Fraction(1, factorial(n))))
-    return OperatorSeries(terms, N)
+    return [normal_order(word.power(n)).scale(Fraction(1, factorial(n)))
+            for n in range(N + 1)]
 
 
 # ---------------------------------------------------------------------------

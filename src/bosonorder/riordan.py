@@ -16,7 +16,9 @@ A sequence is Sheffer for the pair [g, f] (acting by the derivative D)
 exactly when its coefficient array is the exponential Riordan array of the
 group inverse of [g, f].  A :class:`RiordanPair` therefore carries a
 ``convention`` tag saying which of the two descriptions its series are;
-converting between conventions is a group inversion.
+:func:`as_riordan` reaches the array description by one group inversion,
+and the exponential and the ordinary triangles ([z^n] d h^k without the
+n!/k!) are both read off the columns d h^k by one loop.
 
 Ladder operators: if s_n is Sheffer for [g, f] then
 
@@ -105,14 +107,6 @@ def as_riordan(p: RiordanPair) -> RiordanPair:
     return RiordanPair(q.first, q.second, RIORDAN)
 
 
-def as_sheffer(p: RiordanPair) -> RiordanPair:
-    """The Sheffer-convention description of the same sequence."""
-    if p.convention == SHEFFER:
-        return p
-    q = group_inverse(p)
-    return RiordanPair(q.first, q.second, SHEFFER)
-
-
 @dataclass
 class Triangle:
     """Lower-triangular table of SPoly entries; rows[n][k] for 0 <= k <= n."""
@@ -146,11 +140,6 @@ class Triangle:
     def to_json(self) -> dict:
         return {"N": self.N, "rows": [[c.to_json() for c in row]
                                       for row in self.rows]}
-
-    @staticmethod
-    def from_json(data) -> "Triangle":
-        return Triangle(data["N"], [[SPoly.from_json(c) for c in row]
-                                    for row in data["rows"]])
 
     def to_csv(self) -> str:
         """One row per line; exact rational (or polynomial-in-s) cells."""
@@ -218,34 +207,32 @@ class BivariateEGF:
                 "coeffs": [[c.to_json() for c in row] for row in self.zcoeffs]}
 
 
+def _array_rows(d: Series, h: Series, N: int, weights) -> list:
+    """rows[n][k] = weights[k] [z^n] d h^k for 0 <= k <= n <= N: the one
+    loop that expands d h^k column by column, for both normalizations."""
+    acc = d.truncate(N)
+    h = h.truncate(N)
+    cols = []
+    for k in range(N + 1):
+        w = weights[k]
+        cols.append(acc.coeffs if w == 1 else [w * c for c in acc.coeffs])
+        if k < N:
+            acc = acc * h
+    return [[cols[k][n] for k in range(n + 1)] for n in range(N + 1)]
+
+
 def pair_to_egf(p: RiordanPair, N: int) -> BivariateEGF:
     """Expand d(z) exp(t h(z)) through z^N for a pair (any convention)."""
     p = as_riordan(p)
     if N > p.order:
         raise ValueError(f"truncation order {p.order} insufficient for N={N}")
-    d = p.first.truncate(N)
-    h = p.second.truncate(N)
-    cols = []
-    acc = d
-    invfact = Fraction(1)
-    for k in range(N + 1):
-        cols.append([invfact * acc[n] for n in range(N + 1)])
-        if k < N:
-            acc = acc * h
-            invfact /= k + 1
-    rows = [[cols[k][n] for k in range(n + 1)] for n in range(N + 1)]
-    return BivariateEGF(rows, N)
+    invfact = [Fraction(1, factorial(k)) for k in range(N + 1)]
+    return BivariateEGF(_array_rows(p.first, p.second, N, invfact), N)
 
 
 def array_coeffs(p: RiordanPair, N: int) -> Triangle:
     """The coefficient triangle s_{n,k} = (n!/k!) [z^n] d h^k through row N."""
     return pair_to_egf(p, N).to_triangle()
-
-
-def apply_to_egf(p: RiordanPair, u: Series) -> Series:
-    """Action on column EGFs: u(z) maps to d(z) u(h(z))."""
-    q = as_riordan(p)
-    return u.compose(q.second) * q.first
 
 
 def ordinary_array_coeffs(d: Series, h: Series, N: int) -> Triangle:
@@ -259,14 +246,7 @@ def ordinary_array_coeffs(d: Series, h: Series, N: int) -> Triangle:
         raise ValueError("h must have zero constant term")
     if N > min(d.order, h.order):
         raise ValueError("truncation order insufficient")
-    acc = d.truncate(N)
-    h = h.truncate(N)
-    cols = []
-    for k in range(N + 1):
-        cols.append([acc[n] for n in range(N + 1)])
-        if k < N:
-            acc = acc * h
-    return Triangle(N, [[cols[k][n] for k in range(n + 1)] for n in range(N + 1)])
+    return Triangle(N, _array_rows(d, h, N, [1] * (N + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,42 @@ def format_rational(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def format_power(sym: str, k: int) -> str:
+    """The monomial sym^k as text: "" for k = 0, sym for k = 1."""
+    if k == 0:
+        return ""
+    return sym if k == 1 else f"{sym}^{k}"
+
+
+def format_terms(terms) -> str:
+    """Render a sum of (coefficient, monomial text) terms, as every
+    polynomial, series and coefficient table in the package prints.
+
+    Coefficients are rationals or SPolys; a zero one is left out and one
+    with s in it is parenthesized.  A coefficient of 1 or -1 is elided
+    before a nonempty monomial, "+ -" reads "- ", and the empty sum is "0".
+
+    >>> format_terms([(Fraction(-1), "z"), (SPoly((0, 2)), "z^2")])
+    '-z + (2*s)*z^2'
+    """
+    parts = []
+    for c, mono in terms:
+        if not c:
+            continue
+        if isinstance(c, SPoly) and c.is_rational():
+            c = c.as_rational()
+        txt = f"({c})" if isinstance(c, SPoly) else format_rational(c)
+        if not mono:
+            parts.append(txt)
+        elif txt == "1":
+            parts.append(mono)
+        elif txt == "-1":
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{txt}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
 def falling(x, n: int, stride) -> Fraction:
     """Strided falling factorial x(x-h)(x-2h)...(x-(n-1)h) with stride h.
 
@@ -319,25 +355,8 @@ class SPoly:
         return bool(self._num)
 
     def __str__(self):
-        cs = self.coeffs
-        if not cs:
-            return "0"
-        parts = []
-        for k, c in enumerate(cs):
-            if c == 0:
-                continue
-            if k == 0:
-                term = format_rational(c)
-            else:
-                mag = format_rational(abs(c)) + "*" if abs(c) != 1 else ""
-                term = f"{mag}s" if k == 1 else f"{mag}s^{k}"
-                if c < 0:
-                    term = "-" + term
-            parts.append(term)
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return format_terms((c, format_power("s", k))
+                            for k, c in enumerate(self.coeffs))
 
     def __repr__(self):
         return f"SPoly({self})"

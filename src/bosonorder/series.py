@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import SPoly, as_spoly, format_rational
+from .scalars import SPoly, as_spoly, format_power, format_terms
 
 
 class Series:
@@ -50,10 +50,6 @@ class Series:
     @staticmethod
     def one(order: int) -> "Series":
         return Series((1,), order)
-
-    @staticmethod
-    def const(c, order: int) -> "Series":
-        return Series((c,), order)
 
     @staticmethod
     def variable(order: int) -> "Series":
@@ -301,35 +297,9 @@ class Series:
     def __hash__(self):
         return hash((self.coeffs, self.order))
 
-    def agrees(self, other: "Series", upto: int | None = None) -> bool:
-        """Coefficientwise equality through min(orders) or an explicit bound."""
-        n = min(self.order, other.order)
-        if upto is not None:
-            if upto > n:
-                raise ValueError("comparison bound exceeds truncation orders")
-            n = upto
-        return all(self.coeffs[k] == other.coeffs[k] for k in range(n + 1))
-
     def __str__(self):
-        parts = []
-        for n, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            if c.is_rational():
-                txt = format_rational(c.as_rational())
-            else:
-                txt = f"({c})"
-            if n == 0:
-                parts.append(txt)
-            else:
-                zn = "z" if n == 1 else f"z^{n}"
-                if txt == "1":
-                    parts.append(zn)
-                elif txt == "-1":
-                    parts.append(f"-{zn}")
-                else:
-                    parts.append(f"{txt}*{zn}")
-        body = " + ".join(parts).replace("+ -", "- ") if parts else "0"
+        body = format_terms((c, format_power("z", n))
+                            for n, c in enumerate(self.coeffs))
         return f"{body} + O(z^{self.order + 1})"
 
     def __repr__(self):
@@ -338,9 +308,3 @@ class Series:
     def to_json(self) -> dict:
         return {"trunc_order": self.order,
                 "coeffs": [c.to_json() for c in self.coeffs]}
-
-    @staticmethod
-    def from_json(data) -> "Series":
-        return Series([SPoly.from_json(c) for c in data["coeffs"]],
-                      data["trunc_order"])
-

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 from math import factorial
 
 from .scalars import SPoly, binomial, format_rational
@@ -25,8 +26,8 @@ from .series import Series
 from .weyl import (ClassicalPoly, NormalForm, Word, anti_normal_order,
                    convert_order, normal_order, s_quantize,
                    weyl_quantize_monomial)
-from .riordan import (RiordanPair, array_coeffs, as_riordan, catalog,
-                      group_inverse, group_product, identity_pair,
+from .riordan import (RiordanPair, _tp_trim, array_coeffs, as_riordan,
+                      catalog, group_inverse, group_product, identity_pair,
                       ladder_apply, ordinary_array_coeffs)
 from .hsu_shiue import (HSParams, hs_coeff_sum, hs_egf, hs_pair,
                         hs_pde_residual, hs_triangle_rec)
@@ -51,53 +52,41 @@ def _check(params: dict, residual: str) -> dict:
             "residual": residual}
 
 
-def _first_fail(*residuals: str) -> str:
-    for r in residuals:
-        if r != "0":
-            return r
-    return "0"
+def _first(residuals) -> str:
+    """The first residual that is not "0", else "0".  ``residuals`` is
+    iterated lazily, so nothing after the first failure is computed."""
+    return next((r for r in residuals if r != "0"), "0")
 
 
-def _diff_tables(got, want, label: str = "") -> str:
-    """First differing (n, m) entry of two coefficient tables, or "0"."""
-    keys = sorted(set(got.table) | set(want.table))
-    for n, m in keys:
-        a, b = got.coeff(n, m), want.coeff(n, m)
-        if a != b:
-            return f"{label}({n},{m}): {a} != {b}"
-    return "0"
+def _diff(where: str, got, want) -> str:
+    """"0" when got == want, else a pointer "<where>: <got> != <want>"."""
+    return "0" if got == want else f"{where}: {got} != {want}"
 
 
-def _diff_operator_series(got, want) -> str:
-    if got.order != want.order:
-        return f"order: {got.order} != {want.order}"
-    for n in range(got.order + 1):
-        r = _diff_tables(got[n], want[n], label=f"lambda^{n} ")
-        if r != "0":
-            return r
-    return "0"
+def _tables(got, want, label: str = ""):
+    """Residuals of two coefficient tables, key by key in sorted order."""
+    for n, m in sorted(set(got.table) | set(want.table)):
+        yield _diff(f"{label}({n},{m})", got.coeff(n, m), want.coeff(n, m))
 
 
-def _diff_series(got: Series, want: Series, label: str = "z") -> str:
-    upto = min(got.order, want.order)
-    for n in range(upto + 1):
-        if got[n] != want[n]:
-            return f"{label}^{n}: {got[n]} != {want[n]}"
-    return "0"
+def _lambda_tables(got, want):
+    """Residuals of two lambda-indexed lists of coefficient tables."""
+    yield _diff("order", len(got) - 1, len(want) - 1)
+    for n, (a, b) in enumerate(zip(got, want)):
+        yield from _tables(a, b, label=f"lambda^{n} ")
 
 
-def _diff_pairs(got: RiordanPair, want: RiordanPair) -> str:
-    if got.convention != want.convention:
-        return f"convention: {got.convention} != {want.convention}"
-    return _first_fail(_diff_series(got.first, want.first, label="first z"),
-                       _diff_series(got.second, want.second, label="second z"))
+def _series(got: Series, want: Series, label: str = "z"):
+    """Residuals of two series through the lower truncation order."""
+    for n in range(min(got.order, want.order) + 1):
+        yield _diff(f"{label}^{n}", got[n], want[n])
 
 
-def _series_nonzero(res: Series, label: str = "z") -> str:
-    for n in range(res.order + 1):
-        if not res[n].is_zero():
-            return f"{label}^{n}: {res[n]} != 0"
-    return "0"
+def _pairs(got: RiordanPair, want: RiordanPair):
+    """Residuals of two pairs: the convention, then each series."""
+    yield _diff("convention", got.convention, want.convention)
+    yield from _series(got.first, want.first, label="first z")
+    yield from _series(got.second, want.second, label="second z")
 
 
 def _rand_frac(rng, lo: int = -6, hi: int = 6, dens=(1, 1, 2, 3)) -> Fraction:
@@ -128,7 +117,7 @@ def suite_main_theorem(seed: int = 0) -> dict:
             want = oracle_exponential(w, lam_order)
             cases.append(_check({"L": w.L, "R": w.R, "s": "symbolic",
                                  "lambda_order": lam_order},
-                                _diff_operator_series(got, want)))
+                                _first(_lambda_tables(got, want))))
     return {"suite": "main-theorem", "cases": cases}
 
 
@@ -139,18 +128,14 @@ def suite_cahill_glauber(seed: int = 0) -> dict:
     w = SingleAnnihilatorWord(1, 0)
     closed = exp_number_closed_form(SYMBOLIC, lam_order)
     direct = s_ordered_symbol(w, SYMBOLIC, lam_order)
-    res = "0"
-    for n in range(lam_order + 1):
-        res = _diff_tables(closed[n], direct[n], label=f"lambda^{n} ")
-        if res != "0":
-            break
+    res = _first(_lambda_tables(closed.terms, direct.terms))
     cases = [_check({"check": "closed form vs two-point EGF", "s": "symbolic",
                      "lambda_order": lam_order}, res)]
     got = closed.quantize()
     want = oracle_exponential(w, lam_order)
     cases.append(_check({"check": "quantized vs rewriting oracle",
                          "s": "symbolic", "lambda_order": lam_order},
-                        _diff_operator_series(got, want)))
+                        _first(_lambda_tables(got, want))))
     return {"suite": "cahill-glauber", "cases": cases}
 
 
@@ -181,15 +166,15 @@ def suite_katriel(seed: int = 0) -> dict:
         brute = normal_order(ada.word().power(n))
         ref = NormalForm(((k, k), stirling[n][k]) for k in range(n + 1))
         cases.append(_check({"word": "ad a", "n": n},
-                            _first_fail(_diff_tables(got, brute),
-                                        _diff_tables(got, ref))))
+                            _first(chain(_tables(got, brute),
+                                         _tables(got, ref)))))
         got = power_normal_form(aad, n)
         brute = normal_order(aad.word().power(n))
         ref = NormalForm(((k, k), stirling[n + 1][k + 1])
                          for k in range(n + 1))
         cases.append(_check({"word": "a ad", "n": n},
-                            _first_fail(_diff_tables(got, brute),
-                                        _diff_tables(got, ref))))
+                            _first(chain(_tables(got, brute),
+                                         _tables(got, ref)))))
     return {"suite": "katriel", "cases": cases}
 
 
@@ -202,11 +187,11 @@ def suite_laguerre(seed: int = 0) -> dict:
     for n in range(9):
         brute_n = normal_order(w.word().power(n))
         brute_a = anti_normal_order(w.word().power(n))
-        res = _first_fail(
-            _diff_tables(laguerre_power(n, "normal"), brute_n, "normal "),
-            _diff_tables(power_normal_form(w, n, "normal"), brute_n, "normal "),
-            _diff_tables(laguerre_power(n, "antinormal"), brute_a, "anti "),
-            _diff_tables(power_normal_form(w, n, "antinormal"), brute_a, "anti "))
+        res = _first(chain(
+            _tables(laguerre_power(n, "normal"), brute_n, "normal "),
+            _tables(power_normal_form(w, n, "normal"), brute_n, "normal "),
+            _tables(laguerre_power(n, "antinormal"), brute_a, "anti "),
+            _tables(power_normal_form(w, n, "antinormal"), brute_a, "anti ")))
         cases.append(_check({"n": n}, res))
     return {"suite": "laguerre", "cases": cases}
 
@@ -221,37 +206,25 @@ def suite_hsu_shiue(seed: int = 0) -> dict:
     cases = []
     for _ in range(50):
         p = HSParams(_rand_frac(rng), _rand_nonzero(rng), _rand_frac(rng))
-        tri = hs_triangle_rec(p, nmax)
-        res = "0"
-        for n in range(nmax + 1):
-            for k in range(n + 1):
-                if tri.entry(n, k) != hs_coeff_sum(p, n, k):
-                    res = (f"sum ({n},{k}): {tri.entry(n, k)} != "
-                           f"{hs_coeff_sum(p, n, k)}")
-                    break
-            if res != "0":
-                break
-        if res == "0":
-            egf_tri = hs_egf(p, nmax).to_triangle()
-            for n in range(nmax + 1):
-                for k in range(n + 1):
-                    if tri.entry(n, k) != egf_tri.entry(n, k):
-                        res = (f"egf ({n},{k}): {egf_tri.entry(n, k)} != "
-                               f"{tri.entry(n, k)}")
-                        break
-                if res != "0":
-                    break
-        if res == "0":
-            res = _diff_pairs(group_inverse(hs_pair(p, nmax)),
-                              hs_pair(p.dual(), nmax))
-        if res == "0":
-            pde = hs_pde_residual(p, 10)
-            if not pde.is_zero():
-                res = "pde residual != 0"
         cases.append(_check({"A": format_rational(p.A),
                              "B": format_rational(p.B),
-                             "r": format_rational(p.r)}, res))
+                             "r": format_rational(p.r)},
+                            _first(_hs_residuals(p, nmax))))
     return {"suite": "hsu-shiue", "cases": cases}
+
+
+def _hs_residuals(p: HSParams, nmax: int):
+    """The hsu-shiue checks of one parameter triple, in report order; the
+    EGF, the duality and the PDE are computed only if reached."""
+    tri = hs_triangle_rec(p, nmax)
+    cells = [(n, k) for n in range(nmax + 1) for k in range(n + 1)]
+    for n, k in cells:
+        yield _diff(f"sum ({n},{k})", tri.entry(n, k), hs_coeff_sum(p, n, k))
+    egf_tri = hs_egf(p, nmax).to_triangle()
+    for n, k in cells:
+        yield _diff(f"egf ({n},{k})", egf_tri.entry(n, k), tri.entry(n, k))
+    yield from _pairs(group_inverse(hs_pair(p, nmax)), hs_pair(p.dual(), nmax))
+    yield "0" if hs_pde_residual(p, 10).is_zero() else "pde residual != 0"
 
 
 def suite_two_point_reduction(seed: int = 0) -> dict:
@@ -270,9 +243,8 @@ def suite_two_point_reduction(seed: int = 0) -> dict:
                                           order))
         plus = as_riordan(two_point_pair(TwoPointParams(A, B, r, rp, 1),
                                          order))
-        res = _first_fail(
-            _diff_pairs(minus, hs_pair(HSParams(-A, B, rp), order)),
-            _diff_pairs(plus, hs_pair(HSParams(A, -B, r), order)))
+        res = _first(chain(_pairs(minus, hs_pair(HSParams(-A, B, rp), order)),
+                           _pairs(plus, hs_pair(HSParams(A, -B, r), order))))
         cases.append(_check({"A": format_rational(A), "B": format_rational(B),
                              "r": format_rational(r),
                              "r_prime": format_rational(rp)}, res))
@@ -290,7 +262,7 @@ def suite_e1_closed_forms(seed: int = 0) -> dict:
         inverted = as_riordan(two_point_pair(w.two_point_params(SYMBOLIC),
                                              order))
         cases.append(_check({"L": L, "R": R, "s": "symbolic", "order": order},
-                            _diff_pairs(closed, inverted)))
+                            _first(_pairs(closed, inverted))))
     return {"suite": "e1-closed-forms", "cases": cases}
 
 
@@ -307,7 +279,7 @@ def suite_e2_quartic(seed: int = 0) -> dict:
         for label, s in svals:
             res = quartic_residual(L, R, s, order)
             cases.append(_check({"L": L, "R": R, "s": label, "order": order},
-                                _series_nonzero(res)))
+                                _first(_series(res, Series.zero(res.order)))))
     for label, s in svals[1:]:
         c4, c3 = quartic_leading_coeffs(s)
         ok = c4.is_zero() and c3.is_zero()
@@ -324,43 +296,29 @@ def suite_weyl_power(seed: int = 0) -> dict:
     [1/sqrt(1+4z^2), 2z/(1+sqrt(1+4z^2))], i.e. signed central binomials."""
     nmax, triangle_N = 6, 12
     word = Word("cac")
+    syms = [weyl_power_aaa(n) for n in range(nmax + 1)]
     cases = []
-    for n in range(nmax + 1):
-        got = s_quantize(weyl_power_aaa(n), 0)
+    for n, sym in enumerate(syms):
+        got = s_quantize(sym, 0)
         want = normal_order(word.power(n))
-        cases.append(_check({"n": n, "s": "0"}, _diff_tables(got, want)))
+        cases.append(_check({"n": n, "s": "0"}, _first(_tables(got, want))))
 
     z = Series.variable(triangle_N)
     root = (1 + 4 * z * z).pow_rational(Fraction(1, 2))
     tri = ordinary_array_coeffs(root.reciprocal(), (2 * z) / (1 + root),
                                 triangle_N)
-    res = "0"
-    for n in range(triangle_N + 1):
-        for k in range(n + 1):
-            if (n - k) % 2 == 0:
-                want = Fraction((-1) ** ((n - k) // 2)
-                                * binomial(n, (n - k) // 2))
-            else:
-                want = Fraction(0)
-            if tri.entry(n, k) != want:
-                res = f"({n},{k}): {tri.entry(n, k)} != {want}"
-                break
-        if res != "0":
-            break
+    res = _first(
+        _diff(f"({n},{k})", tri.entry(n, k),
+              Fraction((-1) ** ((n - k) // 2) * binomial(n, (n - k) // 2))
+              if (n - k) % 2 == 0 else Fraction(0))
+        for n in range(triangle_N + 1) for k in range(n + 1))
     cases.append(_check({"check": "interior triangle is ordinary Riordan",
                          "N": triangle_N}, res))
 
-    res = "0"
-    for n in range(nmax + 1):
-        sym = weyl_power_aaa(n)
-        for k in range(n + 1):
-            want = (tri.entry(n, k) * Fraction(1, 2 ** (n - k))
-                    * Fraction(factorial(n), factorial(k)))
-            if sym.coeff(n + k, k) != want:
-                res = f"n={n} k={k}: {sym.coeff(n + k, k)} != {want}"
-                break
-        if res != "0":
-            break
+    res = _first(_diff(f"n={n} k={k}", sym.coeff(n + k, k),
+                       tri.entry(n, k) * Fraction(1, 2 ** (n - k))
+                       * Fraction(factorial(n), factorial(k)))
+                 for n, sym in enumerate(syms) for k in range(n + 1))
     cases.append(_check({"check": "symbol coefficients vs triangle",
                          "nmax": nmax}, res))
     return {"suite": "weyl-power", "cases": cases}
@@ -385,28 +343,22 @@ def suite_conversion(seed: int = 0) -> dict:
         F = _random_symbol(rng)
         s1, s2, s3 = (_rand_frac(rng, -4, 4) for _ in range(3))
         G = convert_order(F, s1, s2)
-        round_trip = _diff_tables(convert_order(G, s2, s1), F, "round trip ")
-        composed = _diff_tables(convert_order(G, s2, s3),
-                                convert_order(F, s1, s3), "composition ")
         H = convert_order(F, s1, SYMBOLIC)
-        heat = _diff_tables(H.deriv_s(),
-                            H.mixed_second().scale(Fraction(-1, 2)), "heat ")
+        res = _first(chain(
+            _tables(convert_order(G, s2, s1), F, "round trip "),
+            _tables(convert_order(G, s2, s3), convert_order(F, s1, s3),
+                    "composition "),
+            _tables(H.deriv_s(), H.mixed_second().scale(Fraction(-1, 2)),
+                    "heat ")))
         cases.append(_check({"draw": i, "degree": F.total_degree(),
                              "s": [format_rational(s1), format_rational(s2),
-                                   format_rational(s3)]},
-                            _first_fail(round_trip, composed, heat)))
+                                   format_rational(s3)]}, res))
 
-    res = "0"
-    for total in range(11):
-        for n in range(total + 1):
-            m = total - n
-            got = weyl_quantize_monomial(n, m)
-            want = s_quantize(ClassicalPoly.monomial(n, m), 0)
-            res = _diff_tables(got, want, label=f"x*^{n} x^{m}: ")
-            if res != "0":
-                break
-        if res != "0":
-            break
+    monomials = [(n, t - n) for t in range(11) for n in range(t + 1)]
+    res = _first(r for n, m in monomials
+                 for r in _tables(weyl_quantize_monomial(n, m),
+                                  s_quantize(ClassicalPoly.monomial(n, m), 0),
+                                  label=f"x*^{n} x^{m}: "))
     cases.append(_check({"check": "shuffle average vs heat propagator",
                          "max_degree": 10}, res))
     return {"suite": "conversion", "cases": cases}
@@ -431,39 +383,33 @@ def suite_riordan_group(seed: int = 0) -> dict:
         p1 = _random_pair(rng, order)
         p2 = _random_pair(rng, order)
         p3 = _random_pair(rng, order)
-        assoc = _diff_pairs(group_product(group_product(p1, p2), p3),
-                            group_product(p1, group_product(p2, p3)))
-        unit = _first_fail(_diff_pairs(group_product(p1, ident), p1),
-                           _diff_pairs(group_product(ident, p1), p1))
         inv = group_inverse(p1)
-        inverse = _first_fail(_diff_pairs(group_product(p1, inv), ident),
-                              _diff_pairs(group_product(inv, p1), ident))
-        cases.append(_check({"draw": i, "order": order},
-                            _first_fail(assoc, unit, inverse)))
+        res = _first(chain(
+            _pairs(group_product(group_product(p1, p2), p3),
+                   group_product(p1, group_product(p2, p3))),
+            _pairs(group_product(p1, ident), p1),
+            _pairs(group_product(ident, p1), p1),
+            _pairs(group_product(p1, inv), ident),
+            _pairs(group_product(inv, p1), ident)))
+        cases.append(_check({"draw": i, "order": order}, res))
 
     for name in CATALOG_NAMES:
         pair = catalog(name, order)
         tri = array_coeffs(pair, ladder_nmax + 1)
-        res = "0"
-        for n in range(ladder_nmax + 1):
-            sn = tri.row_poly(n)
-            sn1 = tri.row_poly(n + 1)
-            low = ladder_apply(pair, "lowering", sn1)
-            want_low = [(n + 1) * c for c in sn]
-            while want_low and want_low[-1].is_zero():
-                want_low.pop()
-            up = ladder_apply(pair, "raising", sn)
-            want_up = list(sn1)
-            while want_up and want_up[-1].is_zero():
-                want_up.pop()
-            if low != want_low:
-                res = f"lowering at n={n + 1}"
-                break
-            if up != want_up:
-                res = f"raising at n={n}"
-                break
+        res = _first(_ladder_residuals(pair, tri, ladder_nmax))
         cases.append(_check({"sequence": name, "nmax": ladder_nmax}, res))
     return {"suite": "riordan-group", "cases": cases}
+
+
+def _ladder_residuals(pair: RiordanPair, tri, nmax: int):
+    """P s_n = n s_(n-1) and M s_n = s_(n+1) for the rows of tri, n <= nmax."""
+    for n in range(nmax + 1):
+        sn, sn1 = tri.row_poly(n), tri.row_poly(n + 1)
+        low = ladder_apply(pair, "lowering", sn1)
+        yield ("0" if tuple(low) == _tp_trim((n + 1) * c for c in sn)
+               else f"lowering at n={n + 1}")
+        up = ladder_apply(pair, "raising", sn)
+        yield "0" if tuple(up) == _tp_trim(sn1) else f"raising at n={n}"
 
 
 def suite_blasiak(seed: int = 0) -> dict:

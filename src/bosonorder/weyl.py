@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
-from .scalars import SPoly, as_s, as_spoly, format_rational
+from .scalars import SPoly, as_s, as_spoly, format_power, format_terms
 
 ANNIHILATOR = "a"
 CREATOR = "c"
@@ -88,36 +88,18 @@ class Word:
         return f"Word({''.join(self.letters)!r})"
 
 
-def _table_str(table, fmt_key) -> str:
-    if not table:
-        return "0"
-    parts = []
-    for key in sorted(table):
-        c = table[key]
-        txt = format_rational(c.as_rational()) if c.is_rational() else f"({c})"
-        mono = fmt_key(key)
-        if mono == "":
-            parts.append(txt)
-        elif txt == "1":
-            parts.append(mono)
-        elif txt == "-1":
-            parts.append(f"-{mono}")
-        else:
-            parts.append(f"{txt}*{mono}")
-    return " + ".join(parts).replace("+ -", "- ")
-
-
 def _mono(sym_hi: str, sym_lo: str, p: int, q: int) -> str:
-    out = []
-    if p:
-        out.append(sym_hi if p == 1 else f"{sym_hi}^{p}")
-    if q:
-        out.append(sym_lo if q == 1 else f"{sym_lo}^{q}")
-    return " ".join(out)
+    """The monomial sym_hi^p sym_lo^q as text, "" when p = q = 0."""
+    return " ".join(t for t in (format_power(sym_hi, p),
+                                format_power(sym_lo, q)) if t)
 
 
 class _Table:
-    """Shared machinery for sparse coefficient tables keyed by integer pairs."""
+    """Shared machinery for sparse coefficient tables keyed by integer pairs.
+
+    ``_symbols`` names the two factors of the monomial keyed (p, q) when a
+    table is printed.
+    """
 
     __slots__ = ("table",)
 
@@ -177,6 +159,13 @@ class _Table:
         c = as_spoly(c)
         return type(self)((k, c * v) for k, v in self.table.items())
 
+    def __str__(self):
+        hi, lo = self._symbols
+        return format_terms((c, _mono(hi, lo, p, q))
+                            for (p, q), c in self.items())
+
+    __repr__ = __str__
+
     def to_json(self) -> list:
         """Sorted list of {"n":, "m":, "coeff":} records."""
         return [{"n": k[0], "m": k[1], "coeff": c.to_json()}
@@ -191,13 +180,11 @@ class _Table:
 class NormalForm(_Table):
     """Sum of normally ordered monomials ad^n a^m, keyed (n, m)."""
 
+    _symbols = ("a†", "a")
+
     @staticmethod
     def monomial(n: int, m: int, coeff=1) -> "NormalForm":
         return NormalForm((((n, m), coeff),))
-
-    @staticmethod
-    def unit() -> "NormalForm":
-        return NormalForm.monomial(0, 0)
 
     def __mul__(self, other):
         """Normally ordered product, by contracting a^m1 against ad^n2."""
@@ -221,14 +208,11 @@ class NormalForm(_Table):
         """The normal-order symbol: keys carried over verbatim."""
         return ClassicalPoly(self.table.items())
 
-    def __str__(self):
-        return _table_str(self.table, lambda k: _mono("a†", "a", k[0], k[1]))
-
-    __repr__ = __str__
-
 
 class AntiNormalForm(_Table):
     """Sum of anti-normally ordered monomials a^m ad^n, keyed (m, n)."""
+
+    _symbols = ("a", "a†")
 
     @staticmethod
     def monomial(m: int, n: int, coeff=1) -> "AntiNormalForm":
@@ -246,11 +230,6 @@ class AntiNormalForm(_Table):
         """The anti-normal-order symbol x*^n x^m, keyed back to (n, m)."""
         return ClassicalPoly((((n, m), c) for (m, n), c in self.table.items()))
 
-    def __str__(self):
-        return _table_str(self.table, lambda k: _mono("a", "a†", k[0], k[1]))
-
-    __repr__ = __str__
-
 
 def _contract(m: int, n: int, k: int) -> int:
     """k! C(m,k) C(n,k): the number of ways to contract k pairs when moving
@@ -260,6 +239,8 @@ def _contract(m: int, n: int, k: int) -> int:
 
 class ClassicalPoly(_Table):
     """Polynomial in the commuting symbols x* and x, keyed (n, m) for x*^n x^m."""
+
+    _symbols = ("x*", "x")
 
     @staticmethod
     def monomial(n: int, m: int, coeff=1) -> "ClassicalPoly":
@@ -311,11 +292,6 @@ class ClassicalPoly(_Table):
     def total_degree(self) -> int:
         """Largest n + m over the support; -1 for the zero polynomial."""
         return max((n + m for (n, m) in self.table), default=-1)
-
-    def __str__(self):
-        return _table_str(self.table, lambda k: _mono("x*", "x", k[0], k[1]))
-
-    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------

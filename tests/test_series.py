@@ -25,7 +25,6 @@ def test_constructors_and_indexing():
     assert z[1] == 1 and z[0] == 0 and z[4] == 0
     with pytest.raises(IndexError):
         z[5]
-    assert Series.const(Fraction(2, 3), 2)[0] == Fraction(2, 3)
     assert Series.zero(3).is_zero()
     with pytest.raises(ValueError):
         Series((), -1)
@@ -60,7 +59,7 @@ def test_geometric_reciprocal():
 def test_reversion_of_exp_minus_one():
     z = Series.variable(6)
     f = z.exp() - 1
-    assert f.revert().agrees((1 + z).log(), 6)
+    assert f.revert() == (1 + z).log()
 
 
 def test_reversion_guards():
@@ -97,26 +96,26 @@ def test_series_ring_axioms(f, g, h):
 def test_reciprocal_inverts(f):
     if f[0].is_zero() or not f[0].is_rational():
         return
-    assert (f * f.reciprocal()).agrees(Series.one(N), N)
+    assert f * f.reciprocal() == Series.one(N)
 
 
 @settings(max_examples=30)
 @given(series_st, inner_st, inner_st)
 def test_composition_is_associative(f, g, h):
-    assert f.compose(g).compose(h).agrees(f.compose(g.compose(h)), N)
+    assert f.compose(g).compose(h) == f.compose(g.compose(h))
 
 
 @given(revertible_st)
 def test_reversion_round_trip(f):
     fbar = f.revert()
     z = Series.variable(N)
-    assert f.compose(fbar).agrees(z, N)
-    assert fbar.compose(f).agrees(z, N)
+    assert f.compose(fbar) == z
+    assert fbar.compose(f) == z
 
 
 @given(inner_st)
 def test_log_inverts_exp(u):
-    assert u.exp().log().agrees(u, N)
+    assert u.exp().log() == u
 
 
 @given(st.fractions(min_value=-5, max_value=5, max_denominator=3),
@@ -124,7 +123,7 @@ def test_log_inverts_exp(u):
 def test_rational_powers_add(a, b, u):
     f = 1 + u
     lhs = f.pow_rational(a) * f.pow_rational(b)
-    assert lhs.agrees(f.pow_rational(a + b), N)
+    assert lhs == f.pow_rational(a + b)
 
 
 def test_pow_rational_needs_unit_constant():
@@ -149,5 +148,7 @@ def test_log1p_over_and_expm1_over():
 def test_json_round_trip():
     s = SPoly.s()
     f = Series((1, s, 2 * s * s - 1), 4)
-    assert Series.from_json(f.to_json()) == f
+    assert f.to_json() == {"trunc_order": 4,
+                           "coeffs": [["1"], ["0", "1"], ["-1", "0", "2"],
+                                      [], []]}
 

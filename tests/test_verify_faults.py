@@ -1,0 +1,186 @@
+"""Failure reports: each suite must name the first residual that breaks.
+
+The golden file holds passing reports only, where every residual is "0".
+Here one name that ``bosonorder.verify`` imports is replaced by a wrapper
+that injects a single known fault, and the suite's report must point at it
+with exactly the recorded text: which key broke, what was got and what was
+expected.
+"""
+
+import pytest
+
+from bosonorder import verify
+from bosonorder.ordering import SymbolSeries
+from bosonorder.riordan import BivariateEGF, RiordanPair, Triangle
+from bosonorder.series import Series
+from bosonorder.weyl import ClassicalPoly, NormalForm
+
+
+def _failures(suite: str, limit: int = 2) -> list:
+    """(case index, residual) of the first failing cases at seed 0."""
+    report = verify.run_suite(suite, seed=0)
+    return [(i, c["residual"]) for i, c in enumerate(report["cases"])
+            if c["status"] == "fail"][:limit]
+
+
+def _hs_coeff_sum(orig):
+    def fault(p, n, k):
+        return orig(p, n, k) + (1 if (n, k) == (3, 1) else 0)
+    return fault
+
+
+def _hs_egf(orig):
+    def fault(p, N):
+        egf = orig(p, N)
+        rows = [list(row) for row in egf.zcoeffs]
+        rows[4] += [0] * (3 - len(rows[4]))
+        rows[4][2] = rows[4][2] + 1
+        return BivariateEGF(rows, egf.order)
+    return fault
+
+
+def _hs_pde_residual(orig):
+    def fault(p, N):
+        return BivariateEGF([[1]], N)
+    return fault
+
+
+def _group_inverse(orig):
+    def fault(p):
+        q = orig(p)
+        z = Series.variable(q.order)
+        return RiordanPair(q.first + z * z * z, q.second, q.convention)
+    return fault
+
+
+def _weyl_quantize_monomial(orig):
+    def fault(n, m):
+        out = orig(n, m)
+        return out + NormalForm.monomial(0, 0) if (n, m) == (3, 4) else out
+    return fault
+
+
+def _exp_number_closed_form(orig):
+    def fault(s, N):
+        ser = orig(s, N)
+        terms = list(ser.terms)
+        terms[5] = terms[5] + ClassicalPoly.monomial(1, 1)
+        return SymbolSeries(terms, ser.order, ser.s)
+    return fault
+
+
+def _oracle_exponential(orig):
+    def fault(w, N):
+        return orig(w, N - 1)
+    return fault
+
+
+def _ordinary_array_coeffs(orig):
+    def fault(d, h, N):
+        tri = orig(d, h, N)
+        rows = [list(row) for row in tri.rows]
+        rows[4][2] = rows[4][2] + 1
+        return Triangle(tri.N, rows)
+    return fault
+
+
+def _quartic_residual(orig):
+    def fault(L, R, s, N):
+        res = orig(L, R, s, N)
+        z = Series.variable(res.order)
+        return res + z * z * z
+    return fault
+
+
+def _power_normal_form(orig):
+    def fault(w, n, variant="normal"):
+        out = orig(w, n, variant)
+        if (w.L, w.R, n, variant) == (1, 0, 2, "normal"):
+            out = out + NormalForm.monomial(0, 0)
+        return out
+    return fault
+
+
+def _ladder_raising(orig):
+    def fault(pair, which, poly):
+        out = orig(pair, which, poly)
+        if which == "raising" and len(poly) == 4:
+            out = [out[0] + 1] + out[1:]
+        return out
+    return fault
+
+
+def _ladder_lowering(orig):
+    def fault(pair, which, poly):
+        out = orig(pair, which, poly)
+        if which == "lowering" and len(poly) == 6:
+            out = out + [1]
+        return out
+    return fault
+
+
+def _as_riordan(orig):
+    def fault(p):
+        q = orig(p)
+        z = Series.variable(q.order)
+        return RiordanPair(q.first, q.second + z ** 4, q.convention)
+    return fault
+
+
+def _laguerre_power(orig):
+    def fault(n, variant="normal"):
+        out = orig(n, variant)
+        if (n, variant) == (3, "antinormal"):
+            out = out.scale(2)
+        return out
+    return fault
+
+
+#: (name patched in verify, fault maker, suite, the first failing cases as
+#: (case index, residual) at seed 0).
+FAULTS = [
+    ("hs_coeff_sum", _hs_coeff_sum, "hsu-shiue",
+     [(0, "sum (3,1): 13/3 != 16/3"), (1, "sum (3,1): 127/4 != 131/4")]),
+    ("hs_egf", _hs_egf, "hsu-shiue",
+     [(0, "egf (4,2): 197/3 != 125/3"), (1, "egf (4,2): 391/4 != 295/4")]),
+    ("hs_pde_residual", _hs_pde_residual, "hsu-shiue",
+     [(0, "pde residual != 0"), (1, "pde residual != 0")]),
+    ("group_inverse", _group_inverse, "hsu-shiue",
+     [(0, "first z^3: -31/81 != -112/81"), (1, "first z^3: -6 != -7")]),
+    ("weyl_quantize_monomial", _weyl_quantize_monomial, "conversion",
+     [(10, "x*^3 x^4: (0,0): 1 != 0")]),
+    ("exp_number_closed_form", _exp_number_closed_form, "cahill-glauber",
+     [(0, "lambda^5 (1,1): 121/120 - 1/8*s - 3/16*s^2 + 1/4*s^3 + 5/16*s^4"
+          " != 1/120 - 1/8*s - 3/16*s^2 + 1/4*s^3 + 5/16*s^4"),
+      (1, "lambda^5 (0,0): 1/2 + 1/2*s != 0")]),
+    ("oracle_exponential", _oracle_exponential, "cahill-glauber",
+     [(1, "order: 8 != 7")]),
+    ("oracle_exponential", _oracle_exponential, "main-theorem",
+     [(0, "order: 6 != 5"), (1, "order: 6 != 5")]),
+    ("ordinary_array_coeffs", _ordinary_array_coeffs, "weyl-power",
+     [(7, "(4,2): -3 != -4"), (8, "n=4 k=2: -12 != -9")]),
+    ("quartic_residual", _quartic_residual, "e2-quartic",
+     [(0, "z^3: 1 != 0"), (1, "z^3: 1 != 0")]),
+    ("power_normal_form", _power_normal_form, "katriel",
+     [(4, "(0,0): 1 != 0")]),
+    ("ladder_apply", _ladder_raising, "riordan-group",
+     [(5, "raising at n=3"), (6, "raising at n=3")]),
+    ("ladder_apply", _ladder_lowering, "riordan-group",
+     [(5, "lowering at n=5"), (6, "lowering at n=5")]),
+    ("group_inverse", _group_inverse, "riordan-group",
+     [(0, "first z^3: 1 != 0"), (1, "first z^3: 1 != 0")]),
+    ("as_riordan", _as_riordan, "two-point-reduction",
+     [(0, "second z^4: -1/8 != -9/8"), (1, "second z^4: 33/32 != 1/32")]),
+    ("as_riordan", _as_riordan, "e1-closed-forms",
+     [(0, "second z^4: 3/4*s - 7/4*s^3 != 1 + 3/4*s - 7/4*s^3"),
+      (1, "second z^4: 3/4*s - 7/4*s^3 != 1 + 3/4*s - 7/4*s^3")]),
+    ("laguerre_power", _laguerre_power, "laguerre",
+     [(3, "anti (0,3): -12 != -6")]),
+]
+
+
+@pytest.mark.parametrize("name, make, suite, expected", FAULTS,
+                         ids=[f"{f[0]}-{f[2]}" for f in FAULTS])
+def test_injected_fault_is_reported(monkeypatch, name, make, suite, expected):
+    monkeypatch.setattr(verify, name, make(getattr(verify, name)))
+    assert _failures(suite) == expected

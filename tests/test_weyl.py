@@ -44,7 +44,7 @@ def test_frozen_normal_forms():
     # a a ad ad = ad^2 a^2 + 4 ad a + 2
     assert normal_order(Word("aacc")) == NormalForm(
         {(2, 2): 1, (1, 1): 4, (0, 0): 2})
-    assert normal_order(Word("")) == NormalForm.unit()
+    assert normal_order(Word("")) == NormalForm.monomial(0, 0)
 
 
 def test_frozen_anti_normal_forms():
@@ -126,7 +126,7 @@ def test_normal_form_product_contraction():
 def test_weyl_quantize_frozen():
     # symmetrized x*^2 x: (ad^2 a + ad a ad + a ad^2)/3 = ad^2 a + ad
     assert weyl_quantize_monomial(2, 1) == NormalForm({(2, 1): 1, (1, 0): 1})
-    assert weyl_quantize_monomial(0, 0) == NormalForm.unit()
+    assert weyl_quantize_monomial(0, 0) == NormalForm.monomial(0, 0)
 
 
 def test_weyl_quantize_cap():
