@@ -47,18 +47,17 @@ class Word:
 
     Words are written left to right in operator order, e.g. ``Word("cac")``
     is (a-dagger a a-dagger).  Strings may contain spaces for readability.
+    ``letters`` is the validated string the rewriting oracle works on.
     """
 
     __slots__ = ("letters",)
 
     def __init__(self, letters):
-        if isinstance(letters, str):
-            letters = letters.replace(" ", "")
-        ls = tuple(letters)
-        for ch in ls:
+        letters = "".join(letters).replace(" ", "")
+        for ch in letters:
             if ch not in (ANNIHILATOR, CREATOR):
                 raise ValueError(f"letters must be 'a' or 'c', got {ch!r}")
-        object.__setattr__(self, "letters", ls)
+        object.__setattr__(self, "letters", letters)
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -85,7 +84,7 @@ class Word:
                         for ch in self.letters) or "1"
 
     def __repr__(self):
-        return f"Word({''.join(self.letters)!r})"
+        return f"Word({self.letters!r})"
 
 
 def _mono(sym_hi: str, sym_lo: str, p: int, q: int) -> str:
@@ -128,9 +127,6 @@ class _Table:
     def items(self):
         return sorted(self.table.items())
 
-    def is_zero(self) -> bool:
-        return not self.table
-
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -139,21 +135,10 @@ class _Table:
     def __hash__(self):
         return hash(frozenset(self.table.items()))
 
-    def _combine(self, other, sign):
+    def __add__(self, other):
         if type(other) is not type(self):
             raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
-        items = list(self.table.items())
-        items.extend((k, sign * c) for k, c in other.table.items())
-        return type(self)(items)
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __neg__(self):
-        return type(self)((k, -c) for k, c in self.table.items())
+        return type(self)([*self.table.items(), *other.table.items()])
 
     def scale(self, c):
         c = as_spoly(c)
@@ -188,8 +173,6 @@ class NormalForm(_Table):
 
     def __mul__(self, other):
         """Normally ordered product, by contracting a^m1 against ad^n2."""
-        if isinstance(other, (int, Fraction, SPoly)):
-            return self.scale(other)
         if not isinstance(other, NormalForm):
             return NotImplemented
         items = []
@@ -200,9 +183,6 @@ class NormalForm(_Table):
                     w = _contract(m1, n2, k)
                     items.append(((n1 + n2 - k, m1 + m2 - k), w * c))
         return NormalForm(items)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def symbol(self) -> "ClassicalPoly":
         """The normal-order symbol: keys carried over verbatim."""
@@ -226,10 +206,6 @@ class AntiNormalForm(_Table):
                 items.append(((n - k, m - k), _contract(m, n, k) * c))
         return NormalForm(items)
 
-    def symbol(self) -> "ClassicalPoly":
-        """The anti-normal-order symbol x*^n x^m, keyed back to (n, m)."""
-        return ClassicalPoly((((n, m), c) for (m, n), c in self.table.items()))
-
 
 def _contract(m: int, n: int, k: int) -> int:
     """k! C(m,k) C(n,k): the number of ways to contract k pairs when moving
@@ -245,20 +221,6 @@ class ClassicalPoly(_Table):
     @staticmethod
     def monomial(n: int, m: int, coeff=1) -> "ClassicalPoly":
         return ClassicalPoly((((n, m), coeff),))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, SPoly)):
-            return self.scale(other)
-        if not isinstance(other, ClassicalPoly):
-            return NotImplemented
-        items = []
-        for (n1, m1), c1 in self.table.items():
-            for (n2, m2), c2 in other.table.items():
-                items.append(((n1 + n2, m1 + m2), c1 * c2))
-        return ClassicalPoly(items)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def mixed_second(self) -> "ClassicalPoly":
         """d^2/dx dx* acting on the polynomial."""
@@ -301,8 +263,8 @@ class ClassicalPoly(_Table):
 def normal_order(word: Word) -> NormalForm:
     """Normal-order a word by repeated leftmost  a c -> c a + 1  rewriting.
 
-    The letters are joined into one string, so the leftmost pair "ac" is
-    found by ``str.find`` and each successor word is built by slicing.  The
+    The word is one string, so the leftmost pair "ac" is found by
+    ``str.find`` and each successor word is built by slicing.  The
     rewriting system is confluent, so the reduction order cannot change the
     answer; leftmost-first merely makes runs deterministic.  Identical
     intermediate words are merged, which keeps the state space small.
@@ -319,7 +281,7 @@ def anti_normal_order(word: Word) -> AntiNormalForm:
                            for w, c in done.items()))
 
 
-def _rewrite(letters: tuple, first: str, second: str, sign: int) -> dict:
+def _rewrite(word: str, first: str, second: str, sign: int) -> dict:
     """Rewrite  first second -> second first + sign  at the leftmost pair
     until none is left; returns {reduced word as a str: integer coefficient}.
 
@@ -331,7 +293,7 @@ def _rewrite(letters: tuple, first: str, second: str, sign: int) -> dict:
     """
     pair = first + second
     swap = second + first
-    pending = {"".join(letters): 1}
+    pending = {word: 1}
     done: dict[str, int] = {}
     while pending:
         nxt: dict[str, int] = {}

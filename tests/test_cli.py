@@ -1,8 +1,9 @@
 """Command-line behaviour: exit codes, formats, determinism, and the
-promise that every shell example shown in the README actually produces
-the output printed next to it."""
+promise that every shell example and the Python Quick tour shown in the
+README actually produce the output printed next to them."""
 
 import argparse
+import doctest
 import gc
 import json
 import shlex
@@ -239,6 +240,12 @@ def test_readme_examples_are_current(capsys):
         assert code == 0, f"bosonorder {' '.join(argv)} exited {code}"
         assert captured.out == expected, \
             f"README output for 'bosonorder {' '.join(argv)}' has drifted"
+
+
+def test_readme_quick_tour_is_current():
+    result = doctest.testfile(str(README), module_relative=False)
+    assert result.attempted > 0
+    assert result.failed == 0, "the README Quick tour has drifted"
 
 
 def test_main_leaves_no_parser_garbage(capsys):

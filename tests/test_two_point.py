@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bosonorder.hsu_shiue import HSParams, hs_pair
-from bosonorder.riordan import as_riordan
+from bosonorder.riordan import BivariateEGF, _apply_dseries, as_riordan
 from bosonorder.scalars import SPoly
 from bosonorder.series import Series
 from bosonorder.two_point import (TwoPointParams, closed_form_e1,
@@ -57,6 +57,37 @@ def test_endpoint_reduction_random(a, b, r, rp):
     assert minus == hs_pair(HSParams(-a, b, rp), 5)
     plus = as_riordan(two_point_pair(TwoPointParams(a, b, r, rp, 1), 5))
     assert plus == hs_pair(HSParams(a, -b, r), 5)
+
+
+def _raising_egf(p: TwoPointParams, N: int) -> BivariateEGF:
+    """The two-point EGF row by row from the Sheffer raising operator: with
+    u = 1/f' and w = u g'/g, e_(n+1) = (t u(D) e_n - w(D) e_n)/(n+1), where
+    e_n is the z^n coefficient.  No reversion and no group inverse."""
+    pair = two_point_pair(p, max(N, 1))
+    g, f = pair.first, pair.second
+    u = f.deriv().reciprocal()
+    w = u * g.deriv() / g
+    rows = [[SPoly.const(1)]]
+    for n in range(N):
+        up = [SPoly()] + _apply_dseries(u, rows[-1])
+        down = _apply_dseries(w, rows[-1]) + [SPoly()]
+        rows.append([(a - b) / (n + 1) for a, b in zip(up, down)])
+    return BivariateEGF(rows, N)
+
+
+s_point_st = st.one_of(st.just(S), st.sampled_from([-1, 0, 1]),
+                       st.fractions(min_value=-3, max_value=3,
+                                    max_denominator=7))
+
+
+@given(param_st, param_st, param_st, param_st, s_point_st, st.integers(0, 8))
+@example(0, 1, -2, 1, S, 8)
+@example(2, 0, 1, -3, Fraction(1, 3), 8)
+@example(0, 0, 1, 2, 0, 6)
+@settings(max_examples=40, deadline=None)
+def test_raising_operator_rows_match_group_inversion(a, b, r, rp, s, N):
+    p = TwoPointParams(a, b, r, rp, s)
+    assert _raising_egf(p, N) == two_point_egf(p, N)
 
 
 def test_interpolation_in_s_row_one():

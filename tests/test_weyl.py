@@ -2,14 +2,15 @@
 
 The rewriting functions are the package's ground truth, so they get the
 densest checks: frozen hand-computed normal forms, the homomorphism law,
-adjoint/anti-normal consistency on random words, and the string-word
-rewriting kernel against a slow reference loop.
+adjoint/anti-normal consistency on random words, the rook-number normal
+form of every word, and the string-word rewriting kernel against a slow
+reference loop.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bosonorder.ordering import SingleAnnihilatorWord, power_normal_form
 from bosonorder.scalars import SPoly
@@ -73,6 +74,40 @@ def test_anti_normal_consistent_with_normal(w):
     assert anti_normal_order(w).to_normal() == normal_order(w)
 
 
+def _rook_normal_form(word: str) -> NormalForm:
+    """Normal form of a word from the rook numbers of its Ferrers board
+    (Navon 1973; Varvak 2005), sharing no code with the rewriting kernel.
+
+    The board has one row per annihilator, whose length is the number of
+    creators to its right.  Adding a row of length c to a board with rook
+    numbers R_k (rows shortest first) gives R'_k = R_k + (c - k + 1) R_(k-1),
+    and a word with U creators and D annihilators equals
+    sum_k r_k ad^(U-k) a^(D-k).
+    """
+    rows, creators = [], 0
+    for ch in reversed(word):
+        if ch == CREATOR:
+            creators += 1
+        else:
+            rows.append(creators)
+    r = [1]
+    for c in sorted(rows):
+        r = [r[0]] + [(r[k] if k < len(r) else 0) + (c - k + 1) * r[k - 1]
+                      for k in range(1, len(r) + 1)]
+    U, D = word.count(CREATOR), word.count(ANNIHILATOR)
+    return NormalForm(((U - k, D - k), rk) for k, rk in enumerate(r) if rk)
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="ac", max_size=18))
+@example("")
+@example("a" * 18)
+@example("c" * 18)
+@example("a" * 9 + "c" * 9)
+def test_normal_order_matches_rook_numbers(letters):
+    assert normal_order(Word(letters)) == _rook_normal_form(letters)
+
+
 def _reference_rewrite(letters: tuple, first: str, second: str,
                        sign: int) -> dict:
     """Reference for _rewrite, the slow obvious loop: tuple words, a Python
@@ -107,7 +142,7 @@ def test_rewrite_matches_reference_loop(w):
     for first, second, sign in ((ANNIHILATOR, CREATOR, 1),
                                 (CREATOR, ANNIHILATOR, -1)):
         want = {"".join(k): c for k, c in
-                _reference_rewrite(w.letters, first, second, sign).items()}
+                _reference_rewrite(tuple(w.letters), first, second, sign).items()}
         assert _rewrite(w.letters, first, second, sign) == want
 
 
