@@ -263,11 +263,11 @@ class ClassicalPoly(_Table):
 def normal_order(word: Word) -> NormalForm:
     """Normal-order a word by repeated leftmost  a c -> c a + 1  rewriting.
 
-    The word is one string, so the leftmost pair "ac" is found by
-    ``str.find`` and each successor word is built by slicing.  The
-    rewriting system is confluent, so the reduction order cannot change the
-    answer; leftmost-first merely makes runs deterministic.  Identical
-    intermediate words are merged, which keeps the state space small.
+    The word is one string, split once at its leftmost pair "ac" by
+    ``str.partition``.  The rewriting system is confluent, so the reduction
+    order cannot change the answer; leftmost-first merely makes runs
+    deterministic.  Identical intermediate words are merged within a pass
+    only: a word reached again in a later pass is rewritten again.
     """
     done = _rewrite(word.letters, ANNIHILATOR, CREATOR, 1)
     return NormalForm((((w.count(CREATOR), w.count(ANNIHILATOR)), c)
@@ -285,11 +285,16 @@ def _rewrite(word: str, first: str, second: str, sign: int) -> dict:
     """Rewrite  first second -> second first + sign  at the leftmost pair
     until none is left; returns {reduced word as a str: integer coefficient}.
 
-    Words are strings: ``str.find`` locates the leftmost pair and slicing
-    builds the swapped and the contracted successor.  Each pass rewrites
-    every pending word once and merges equal successors; the passes visit
-    words in insertion order, which is deterministic, and the result does
-    not depend on it.
+    Words are strings: ``str.partition`` splits a word once into the part
+    before its leftmost pair, the pair, and the part after it, and the
+    swapped and the contracted successor are joined from those parts.  Each
+    pass rewrites every pending word once and merges equal successors; the
+    passes visit words in insertion order, which is deterministic, and the
+    result does not depend on it.
+
+    No merged coefficient is ever zero, so no pass filters zeros out: every
+    path from ``word`` to a word w contracts (len(word) - len(w)) / 2 pairs,
+    so the coefficient of w is sign to that power times a count of paths.
     """
     pair = first + second
     swap = second + first
@@ -297,18 +302,17 @@ def _rewrite(word: str, first: str, second: str, sign: int) -> dict:
     done: dict[str, int] = {}
     while pending:
         nxt: dict[str, int] = {}
+        get = nxt.get
         for w, coef in pending.items():
-            idx = w.find(pair)
-            if idx < 0:
+            head, sep, tail = w.partition(pair)
+            if not sep:
                 done[w] = done.get(w, 0) + coef
                 continue
-            head = w[:idx]
-            tail = w[idx + 2:]
-            swapped = head + swap + tail
+            swapped = f"{head}{swap}{tail}"
             contracted = head + tail
-            nxt[swapped] = nxt.get(swapped, 0) + coef
-            nxt[contracted] = nxt.get(contracted, 0) + sign * coef
-        pending = {w: c for w, c in nxt.items() if c}
+            nxt[swapped] = get(swapped, 0) + coef
+            nxt[contracted] = get(contracted, 0) + sign * coef
+        pending = nxt
     return done
 
 

@@ -3,8 +3,8 @@
 The rewriting functions are the package's ground truth, so they get the
 densest checks: frozen hand-computed normal forms, the homomorphism law,
 adjoint/anti-normal consistency on random words, the rook-number normal
-form of every word, and the string-word rewriting kernel against a slow
-reference loop.
+form of every word, the string-word rewriting kernel against a slow
+reference loop, and the sign of every coefficient that kernel returns.
 """
 
 from fractions import Fraction
@@ -138,12 +138,28 @@ def _reference_leftmost(w: tuple, first: str, second: str) -> int:
 
 @settings(max_examples=200)
 @given(st.text(alphabet="ac", max_size=14).map(Word))
+@example(Word("cac" * 4))
+@example(Word("ccac" * 3))
+@example(Word("acc" * 4))
 def test_rewrite_matches_reference_loop(w):
     for first, second, sign in ((ANNIHILATOR, CREATOR, 1),
                                 (CREATOR, ANNIHILATOR, -1)):
         want = {"".join(k): c for k, c in
                 _reference_rewrite(tuple(w.letters), first, second, sign).items()}
         assert _rewrite(w.letters, first, second, sign) == want
+
+
+@settings(max_examples=200)
+@given(st.text(alphabet="ac", max_size=16))
+@example("ac" * 8)
+@example("ca" * 8)
+def test_rewrite_coefficients_never_cancel(word):
+    # _rewrite keeps no zero filter: each path to w contracts the same
+    # number of pairs, so its coefficient is sign^k times a path count.
+    for first, second, sign in ((ANNIHILATOR, CREATOR, 1),
+                                (CREATOR, ANNIHILATOR, -1)):
+        for w, c in _rewrite(word, first, second, sign).items():
+            assert c * sign ** ((len(word) - len(w)) // 2) > 0
 
 
 def test_normal_order_of_bench_size_power():
