@@ -27,9 +27,8 @@ from .two_point import (TwoPointParams, closed_form_e1, quartic_leading_coeffs,
                         quartic_residual, two_point_egf, two_point_pair)
 from .ordering import (SingleAnnihilatorWord, SymbolSeries,
                        blasiak_identity_check, exp_number_closed_form,
-                       exp_word_closed_form, laguerre_power, oracle_exponential,
-                       power_normal_form, power_symbol, s_ordered_symbol,
-                       weyl_power_aaa)
+                       laguerre_power, oracle_exponential, power_normal_form,
+                       power_symbol, s_ordered_symbol, weyl_power_aaa)
 from .verify import SUITES, run_all, run_suite, suite_passed
 
 __version__ = "0.1.0"

@@ -2,8 +2,7 @@
 
 Every subcommand prints exact data (JSON or CSV) built from rational and
 polynomial-in-s arithmetic, so repeated runs with the same arguments are
-byte-for-byte identical.  The truncation order comes from --N when given,
-else from the environment variable BOSONORDER_TRUNC_ORDER, else 8, and
+byte-for-byte identical.  The truncation order is --N (default 8) and
 must be >= 0; power and weyl-aaa take no truncation order.
 
 Exit codes:
@@ -19,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import re
 import sys
 
@@ -32,21 +30,12 @@ from .ordering import (SingleAnnihilatorWord, power_symbol, s_ordered_symbol,
 from .verify import SUITES, run_all, run_suite, suite_passed
 
 DEFAULT_TRUNC_ORDER = 8
-ENV_TRUNC_ORDER = "BOSONORDER_TRUNC_ORDER"
 
 
 def _trunc_order(args) -> int:
-    N = args.N
-    if N is None:
-        env = os.environ.get(ENV_TRUNC_ORDER)
-        try:
-            N = DEFAULT_TRUNC_ORDER if env is None else int(env)
-        except ValueError:
-            raise ValueError(f"{ENV_TRUNC_ORDER} must be an integer, "
-                             f"got {env!r}") from None
-    if N < 0:
+    if args.N < 0:
         raise ValueError("truncation order must be >= 0")
-    return N
+    return args.N
 
 
 def _dump(obj) -> str:
@@ -168,9 +157,9 @@ def _add_output_flags(sp, truncated: bool = True) -> None:
     sp.add_argument("--out", metavar="FILE", default=None,
                     help="write to FILE instead of stdout")
     if truncated:
-        sp.add_argument("--N", type=int, default=None, metavar="ORDER",
-                        help=f"truncation order (default ${ENV_TRUNC_ORDER} "
-                             f"or {DEFAULT_TRUNC_ORDER})")
+        sp.add_argument("--N", type=int, default=DEFAULT_TRUNC_ORDER,
+                        metavar="ORDER",
+                        help=f"truncation order (default {DEFAULT_TRUNC_ORDER})")
 
 
 def _add_hs_params(sp) -> None:

@@ -27,8 +27,8 @@ from math import factorial
 
 from .scalars import as_s, binomial
 from .series import Series
-from .riordan import SHEFFER, RiordanPair, pair_to_egf
-from .hsu_shiue import HSParams, hs_egf, hs_triangle_rec
+from .riordan import SHEFFER, RiordanPair, pair_to_egf, raising_series
+from .hsu_shiue import HSParams, hs_triangle_rec
 from .two_point import TwoPointParams, two_point_egf
 from .weyl import (AntiNormalForm, ClassicalPoly, NormalForm, Word,
                    normal_order, s_quantize)
@@ -158,59 +158,36 @@ def laguerre_power(n: int, variant: str = "normal"):
     raise ValueError("variant must be 'normal' or 'antinormal'")
 
 
-def _egf_to_symbols(egf, e: int, upto: int) -> list:
-    """Map z^n coefficients t^k -> x*^(e n + k) x^k (t = x* x, z = lam x*^e)."""
-    out = []
-    for n in range(upto + 1):
-        row = egf.zcoeffs[n]
-        out.append(ClassicalPoly(((e * n + k, k), row[k])
-                                 for k in range(len(row))))
-    return out
+def _row_symbol(row, e: int, n: int) -> ClassicalPoly:
+    """Map t^k -> x*^(e n + k) x^k: the z^n row at t = x* x, z = lam x*^e."""
+    return ClassicalPoly(((e * n + k, k), c) for k, c in enumerate(row))
 
 
 def s_ordered_symbol(w: SingleAnnihilatorWord, s, N: int) -> SymbolSeries:
     """The s-ordered symbol series of exp(lambda w), via the two-point EGF.
 
     The lambda^n coefficient is x*^(en) T_n(x* x)/n!, with T_n the n-th
-    two-point row polynomial at (A, B, r, r') = (e, 1, -L, R).
+    two-point row polynomial at (A, B, r, r') = (e, 1, -L, R).  At the
+    endpoints T collapses onto HS(-e, 1, R) and HS(e, -1, -L), whose EGFs
+    are closed forms (with the e -> 0 limits taken analytically):
+
+    normal (s = -1):      (1 - e lam x*^e)^(-R/e) *
+                          exp[((1 - e lam x*^e)^(-1/e) - 1) x* x]
+    antinormal (s = +1):  exp[-x x* ((1 + e lam x*^e)^(-1/e) - 1)] *
+                          (1 + e lam x*^e)^(-L/e)
     """
     s = as_s(s)
     egf = two_point_egf(w.two_point_params(s), N)
-    return SymbolSeries(_egf_to_symbols(egf, w.e, N), N, s)
+    return SymbolSeries([_row_symbol(row, w.e, n)
+                         for n, row in enumerate(egf.zcoeffs)], N, s)
 
 
 def power_symbol(w: SingleAnnihilatorWord, n: int, s) -> ClassicalPoly:
     """The s-ordered symbol of the single power w^n: x*^(en) T_n(x* x)."""
     if n < 0:
         raise ValueError("power must be nonnegative")
-    s = as_s(s)
-    egf = two_point_egf(w.two_point_params(s), n)
-    row = egf.row_poly(n)
-    return ClassicalPoly(((w.e * n + k, k), row[k]) for k in range(len(row)))
-
-
-def exp_word_closed_form(w: SingleAnnihilatorWord, variant: str, N: int) -> SymbolSeries:
-    """The endpoint closed forms of exp(lambda w), expanded from the
-    one-point Hsu-Shiue EGF rather than by reversion.
-
-    normal (s = -1):      (1 - e lam x*^e)^(-R/e) *
-                          exp[((1 - e lam x*^e)^(-1/e) - 1) x* x]
-    antinormal (s = +1):  exp[-x x* ((1 + e lam x*^e)^(-1/e) - 1)] *
-                          (1 + e lam x*^e)^(-L/e)
-
-    both with the e -> 0 limits taken analytically; these are exactly the
-    EGFs of HS(-e, 1, R) and HS(e, -1, -L).
-    """
-    e = w.e
-    if variant == "normal":
-        egf = hs_egf(HSParams(-e, 1, w.R), N)
-        s = Fraction(-1)
-    elif variant == "antinormal":
-        egf = hs_egf(HSParams(e, -1, -w.L), N)
-        s = Fraction(1)
-    else:
-        raise ValueError("variant must be 'normal' or 'antinormal'")
-    return SymbolSeries(_egf_to_symbols(egf, e, N), N, s)
+    egf = two_point_egf(w.two_point_params(as_s(s)), n)
+    return _row_symbol(egf.row_poly(n), w.e, n)
 
 
 def exp_number_closed_form(s, N: int) -> SymbolSeries:
@@ -229,7 +206,8 @@ def exp_number_closed_form(s, N: int) -> SymbolSeries:
     pref = 2 / den
     expo = (2 * (E - 1)) / den
     egf = pair_to_egf(RiordanPair(pref, expo, "riordan"), N)
-    return SymbolSeries(_egf_to_symbols(egf, 0, N), N, s)
+    return SymbolSeries([_row_symbol(row, 0, n)
+                         for n, row in enumerate(egf.zcoeffs)], N, s)
 
 
 def weyl_power_aaa(n: int) -> ClassicalPoly:
@@ -309,10 +287,8 @@ def blasiak_identity_check(p: RiordanPair, nd: int, nl: int) -> dict:
     g, f = p.first, p.second
 
     # Left side: lambda^n coefficient is X^n/n!, kept as {a-power: series in ad}.
-    u = f.deriv().truncate(work).reciprocal()
-    v = -(u * (g.deriv().truncate(work) / g.truncate(work)))
-    us = [u]
-    vs = [v]
+    u, w = raising_series(p, work)
+    us, vs = [u], [-w]
     for _ in range(nl):
         us.append(us[-1].deriv())
         vs.append(vs[-1].deriv())
@@ -321,11 +297,9 @@ def blasiak_identity_check(p: RiordanPair, nd: int, nl: int) -> dict:
         new: dict[int, Series] = {}
         for m, cm in states[-1].items():
             for j in range(m + 1):
-                w = binomial(m, j)
-                t_raise = cm * us[j] * w
-                new[m - j + 1] = new.get(m - j + 1, 0) + t_raise
-                t_low = cm * vs[j] * w
-                new[m - j] = new.get(m - j, 0) + t_low
+                c = binomial(m, j)
+                new[m - j + 1] = new.get(m - j + 1, 0) + cm * us[j] * c
+                new[m - j] = new.get(m - j, 0) + cm * vs[j] * c
         states.append(new)
 
     # Right side: lambda-indexed lists of series in ad.  bbar and g(bbar)

@@ -268,6 +268,14 @@ def _apply_dseries(op: Series, poly: list) -> list:
     return out
 
 
+def raising_series(p: RiordanPair, order: int) -> tuple:
+    """The D-series (u, w) = (1/f', u g'/g) of a Sheffer pair [g, f],
+    truncated at ``order``: its raising operator is M = t u(D) - w(D)."""
+    g, f = p.first, p.second
+    u = f.deriv().truncate(order).reciprocal()
+    return u, u * (g.deriv().truncate(order) / g.truncate(order))
+
+
 def ladder_apply(p: RiordanPair, which: str, poly) -> list:
     """Apply the lowering or raising operator of a Sheffer pair to a t-polynomial.
 
@@ -277,25 +285,19 @@ def ladder_apply(p: RiordanPair, which: str, poly) -> list:
     """
     if p.convention != SHEFFER:
         raise ValueError("ladder_apply expects a Sheffer-convention pair")
-    coeffs = [as_spoly(c) for c in poly]
-    coeffs = list(_tp_trim(coeffs))
+    coeffs = list(_tp_trim(as_spoly(c) for c in poly))
     order = max(len(coeffs), 1)
-    g, f = p.first, p.second
     if which == "lowering":
         if p.order < order:
             raise ValueError("pair truncation order too small")
-        return list(_tp_trim(_apply_dseries(f.truncate(order), coeffs)))
+        return list(_tp_trim(_apply_dseries(p.second.truncate(order), coeffs)))
     if which == "raising":
         if p.order < order + 1:
             raise ValueError("pair truncation order too small")
-        fp = f.deriv().truncate(order)
-        q = _apply_dseries(fp.reciprocal(), coeffs)
-        gratio = (g.deriv().truncate(order)) / (g.truncate(order))
-        correction = _apply_dseries(gratio, q)
-        shifted = [SPoly()] + q
-        out = [shifted[i] - (correction[i] if i < len(correction) else SPoly())
-               for i in range(len(shifted))]
-        return list(_tp_trim(out))
+        u, w = raising_series(p, order)
+        down = _apply_dseries(w, coeffs) + [SPoly()]
+        up = [SPoly()] + _apply_dseries(u, coeffs)
+        return list(_tp_trim(a - b for a, b in zip(up, down)))
     raise ValueError("which must be 'lowering' or 'raising'")
 
 

@@ -147,9 +147,7 @@ def quartic_residual(L: int, R: int, s, N: int) -> Series:
     p = TwoPointParams(2, 1, -L, R, s)
     w = as_riordan(two_point_pair(p, N)).second
     z = Series.variable(N)
-    one_m_s2 = SPoly.const(1) - s * s
-    c4 = one_m_s2 * one_m_s2
-    c3 = 8 * s * one_m_s2
+    c4, c3 = quartic_leading_coeffs(s)
     w2 = w * w
     w3 = w2 * w
     w4 = w2 * w2

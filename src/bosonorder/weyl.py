@@ -157,6 +157,11 @@ class _Table:
                 for k, c in self.items()]
 
     @classmethod
+    def monomial(cls, p: int, q: int, coeff=1):
+        """The single term keyed (p, q)."""
+        return cls((((p, q), coeff),))
+
+    @classmethod
     def from_json(cls, data):
         return cls(((rec["n"], rec["m"]), SPoly.from_json(rec["coeff"]))
                    for rec in data)
@@ -166,10 +171,6 @@ class NormalForm(_Table):
     """Sum of normally ordered monomials ad^n a^m, keyed (n, m)."""
 
     _symbols = ("a†", "a")
-
-    @staticmethod
-    def monomial(n: int, m: int, coeff=1) -> "NormalForm":
-        return NormalForm((((n, m), coeff),))
 
     def __mul__(self, other):
         """Normally ordered product, by contracting a^m1 against ad^n2."""
@@ -194,10 +195,6 @@ class AntiNormalForm(_Table):
 
     _symbols = ("a", "a†")
 
-    @staticmethod
-    def monomial(m: int, n: int, coeff=1) -> "AntiNormalForm":
-        return AntiNormalForm((((m, n), coeff),))
-
     def to_normal(self) -> NormalForm:
         """Expand each a^m ad^n into normal order."""
         items = []
@@ -217,10 +214,6 @@ class ClassicalPoly(_Table):
     """Polynomial in the commuting symbols x* and x, keyed (n, m) for x*^n x^m."""
 
     _symbols = ("x*", "x")
-
-    @staticmethod
-    def monomial(n: int, m: int, coeff=1) -> "ClassicalPoly":
-        return ClassicalPoly((((n, m), coeff),))
 
     def mixed_second(self) -> "ClassicalPoly":
         """d^2/dx dx* acting on the polynomial."""

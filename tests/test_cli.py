@@ -88,18 +88,13 @@ def test_catalog_csv(capsys):
     assert out == "1\n0,1\n0,1,1\n0,1,3,1\n"
 
 
-def test_truncation_order_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("BOSONORDER_TRUNC_ORDER", "2")
+def test_default_truncation_order(capsys, monkeypatch):
     code, out = run_cli(capsys, "catalog", "abel", "--format", "csv")
     assert code == 0
-    assert len(out.strip().split("\n")) == 3
-    # --N wins over the environment
-    code, out = run_cli(capsys, "catalog", "abel", "--format", "csv",
-                        "--N", "4")
-    assert len(out.strip().split("\n")) == 5
-    monkeypatch.setenv("BOSONORDER_TRUNC_ORDER", "many")
-    code, _ = run_cli(capsys, "catalog", "abel", "--format", "csv")
-    assert code == 3
+    assert len(out.strip().split("\n")) == 9
+    # the environment does not set the truncation order
+    monkeypatch.setenv("BOSONORDER_TRUNC_ORDER", "2")
+    assert run_cli(capsys, "catalog", "abel", "--format", "csv") == (0, out)
 
 
 def test_out_writes_file(capsys, tmp_path):
@@ -147,7 +142,7 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                        "No such file or directory\n")
 
 
-def test_precondition_errors_exit_3(capsys, monkeypatch):
+def test_precondition_errors_exit_3(capsys):
     code = cli.main(["order", "--L", "0", "--R", "0"])
     assert code == 3
     captured = capsys.readouterr()
@@ -164,9 +159,6 @@ def test_precondition_errors_exit_3(capsys, monkeypatch):
         assert cli.main(argv + ["--N", "-1"]) == 3
         err = capsys.readouterr().err
         assert err == "error: truncation order must be >= 0\n"
-    monkeypatch.setenv("BOSONORDER_TRUNC_ORDER", "-1")
-    assert cli.main(["hs-triangle", "--A", "0", "--B", "1", "--r", "0"]) == 3
-    assert capsys.readouterr().err == "error: truncation order must be >= 0\n"
 
 
 def test_verify_reports_and_exit_codes(capsys, monkeypatch):

@@ -8,9 +8,9 @@ import pytest
 
 from bosonorder.ordering import (SingleAnnihilatorWord, SymbolSeries,
                                  blasiak_identity_check, exp_number_closed_form,
-                                 exp_word_closed_form, laguerre_power,
-                                 oracle_exponential, power_normal_form,
-                                 power_symbol, s_ordered_symbol, weyl_power_aaa)
+                                 laguerre_power, oracle_exponential,
+                                 power_normal_form, power_symbol,
+                                 s_ordered_symbol, weyl_power_aaa)
 from bosonorder.riordan import RiordanPair, as_riordan, catalog
 from bosonorder.scalars import SPoly
 from bosonorder.series import Series
@@ -90,16 +90,14 @@ def test_power_symbol_reduces_to_transform():
         assert s_quantize(sym, S) == normal_order(w.word().power(n))
 
 
-def test_exp_word_closed_forms_match_oracle():
+def test_endpoint_symbols_match_oracle():
     w = SingleAnnihilatorWord(2, 1)
-    normal = exp_word_closed_form(w, "normal", 4)
+    normal = s_ordered_symbol(w, "normal", 4)
     assert normal.s == -1
     assert normal.quantize() == oracle_exponential(w, 4)
-    anti = exp_word_closed_form(w, "antinormal", 4)
+    anti = s_ordered_symbol(w, "antinormal", 4)
     assert anti.s == 1
     assert anti.quantize() == oracle_exponential(w, 4)
-    with pytest.raises(ValueError):
-        exp_word_closed_form(w, "weyl", 4)
 
 
 def test_exp_number_closed_form_first_orders():

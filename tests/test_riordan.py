@@ -2,7 +2,8 @@
 
 Catalog sequences are judged against their own classical recurrences
 (Stirling, Hermite, Lah, Abel), recomputed here from scratch so the array
-machinery never grades its own homework.
+machinery never grades its own homework.  The ladder operators also run on
+two-point pairs, whose rows come from group inversion.
 """
 
 from fractions import Fraction
@@ -17,6 +18,7 @@ from bosonorder.riordan import (BivariateEGF, RiordanPair, array_coeffs,
                                 ordinary_array_coeffs, pair_to_egf)
 from bosonorder.scalars import SPoly, binomial
 from bosonorder.series import Series
+from bosonorder.two_point import TwoPointParams, two_point_egf, two_point_pair
 
 N = 8
 
@@ -139,10 +141,29 @@ def test_abel_rows():
         assert tri.row_poly(n) == want
 
 
-@pytest.mark.parametrize("name", ["touchard", "hermite", "laguerre", "abel"])
-def test_ladder_actions(name):
-    pair = catalog(name, 8)
-    tri = array_coeffs(pair, 6)
+LADDER_CASES = ["touchard", "hermite", "laguerre", "abel",
+                (2, 1, -2, 1, SPoly.s()), (0, 1, -1, 2, Fraction(1, 3)),
+                (1, 0, 2, -1, SPoly.s()), (0, 0, 1, 2, Fraction(-1, 2))]
+
+
+def _ladder_case(case):
+    """The Sheffer pair of a catalog name or of two-point parameters
+    (A, B, r, r', s), and its triangle through row 6."""
+    if isinstance(case, str):
+        pair = catalog(case, 8)
+        return pair, array_coeffs(pair, 6)
+    p = TwoPointParams(*case)
+    return two_point_pair(p, 7), two_point_egf(p, 6).to_triangle()
+
+
+def _ladder_id(case):
+    return case if isinstance(case, str) else \
+        "two-point(" + ",".join(map(str, case)) + ")"
+
+
+@pytest.mark.parametrize("case", LADDER_CASES, ids=_ladder_id)
+def test_ladder_actions(case):
+    pair, tri = _ladder_case(case)
     for n in range(6):
         sn, sn1 = tri.row_poly(n), tri.row_poly(n + 1)
         low = ladder_apply(pair, "lowering", sn1)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bosonorder.hsu_shiue import HSParams, hs_pair
-from bosonorder.riordan import BivariateEGF, _apply_dseries, as_riordan
+from bosonorder.riordan import (BivariateEGF, _apply_dseries, as_riordan,
+                                raising_series)
 from bosonorder.scalars import SPoly
 from bosonorder.series import Series
 from bosonorder.two_point import (TwoPointParams, closed_form_e1,
@@ -63,10 +64,7 @@ def _raising_egf(p: TwoPointParams, N: int) -> BivariateEGF:
     """The two-point EGF row by row from the Sheffer raising operator: with
     u = 1/f' and w = u g'/g, e_(n+1) = (t u(D) e_n - w(D) e_n)/(n+1), where
     e_n is the z^n coefficient.  No reversion and no group inverse."""
-    pair = two_point_pair(p, max(N, 1))
-    g, f = pair.first, pair.second
-    u = f.deriv().reciprocal()
-    w = u * g.deriv() / g
+    u, w = raising_series(two_point_pair(p, N + 1), N)
     rows = [[SPoly.const(1)]]
     for n in range(N):
         up = [SPoly()] + _apply_dseries(u, rows[-1])

@@ -236,6 +236,13 @@ def test_classical_poly_helpers():
     assert ClassicalPoly().total_degree() == -1
 
 
+def test_monomial_keeps_its_class():
+    for cls in (NormalForm, AntiNormalForm, ClassicalPoly):
+        mono = cls.monomial(1, 2)
+        assert type(mono) is cls
+        assert mono.table == {(1, 2): SPoly.const(1)}
+
+
 def test_symbol_inverts_table():
     nf = normal_order(Word("caac"))
     assert s_quantize(nf.symbol(), -1) == nf
