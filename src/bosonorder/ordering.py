@@ -271,9 +271,11 @@ def blasiak_identity_check(p: RiordanPair, nd: int, nl: int) -> dict:
         exp(lambda X) = : g(ad)/g(bbar) exp[(bbar - ad) a] :_N
 
     Both sides are expanded in the double truncation (ad-degree <= nd,
-    lambda-order <= nl): the left side by the operator recursion
-    a^m f(ad) = sum_j C(m,j) f^(j)(ad) a^(m-j), the right side as a Taylor
-    shift in lambda, F(f(ad) + lambda) = sum_j F^(j)(f(ad)) lambda^j/j!.
+    lambda-order <= nl): the left side by left multiplication with
+    X = u(ad) a - w(ad), u = 1/f' and w = u g'/g, where
+    a F(ad) = F(ad) a + F'(ad) gives X F a^m = u F a^(m+1) + (u F' - w F) a^m;
+    the right side as a Taylor shift in lambda,
+    F(f(ad) + lambda) = sum_j F^(j)(f(ad)) lambda^j/j!.
     Returns {"equal": bool, "mismatches": [(n, m), ...]}.
 
     The pair must carry truncation order at least nd + nl + 1 so that every
@@ -286,20 +288,15 @@ def blasiak_identity_check(p: RiordanPair, nd: int, nl: int) -> dict:
         raise ValueError(f"pair truncation order must be >= {work + 1}")
     g, f = p.first, p.second
 
-    # Left side: lambda^n coefficient is X^n/n!, kept as {a-power: series in ad}.
+    # Left side: lambda^n coefficient is X^n/n!, kept as {a-power: series in
+    # ad}.  X^(n+1) = X X^n, and each step lowers the series order by one.
     u, w = raising_series(p, work)
-    us, vs = [u], [-w]
-    for _ in range(nl):
-        us.append(us[-1].deriv())
-        vs.append(vs[-1].deriv())
     states = [{0: Series.one(work)}]
     for _ in range(nl):
         new: dict[int, Series] = {}
-        for m, cm in states[-1].items():
-            for j in range(m + 1):
-                c = binomial(m, j)
-                new[m - j + 1] = new.get(m - j + 1, 0) + cm * us[j] * c
-                new[m - j] = new.get(m - j, 0) + cm * vs[j] * c
+        for m, F in states[-1].items():
+            new[m + 1] = new.get(m + 1, 0) + u * F
+            new[m] = new.get(m, 0) + u * F.deriv() - w * F
         states.append(new)
 
     # Right side: lambda-indexed lists of series in ad.  bbar and g(bbar)

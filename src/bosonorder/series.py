@@ -6,8 +6,10 @@ operand orders, so a result is never silently pretended to more precision
 than its inputs support.  All operations are exact: no floats anywhere.
 
 The operations are the standard formal ones -- Cauchy product, composition,
-compositional reversion (order-by-order linear solve), exp/log, and rational
-powers f^q = exp(q log f) for series with constant term 1.
+compositional reversion, exp/log, and rational powers f^q = exp(q log f) for
+series with constant term 1.  Reversion solves order by order: step n
+composes the order-n truncations, the only terms that reach z^n, and divides
+the z^n error by the linear coefficient c = f_1.
 """
 
 from __future__ import annotations
@@ -195,9 +197,12 @@ class Series:
     def revert(self) -> "Series":
         """Compositional inverse g with g(self(z)) = self(g(z)) = z.
 
-        Requires zero constant term and an invertible linear coefficient.
-        A rational unit c != 1 is handled by normalizing f/c, reverting,
-        and substituting z/c back.
+        Requires zero constant term and an invertible linear coefficient,
+        a rational unit c = f_1.  Solves order by order: with g known
+        through z^(n-1) and g_n = 0, the z^n coefficient of f(g) is off by
+        exactly c g_n, so g_1 = 1/c and g_n = -[z^n] f(g)/c.  Only the
+        order-n truncations of f and g reach z^n, so step n composes at
+        order n.
         """
         if not self.coeffs[0].is_zero():
             raise ValueError("reversion requires zero constant term")
@@ -207,18 +212,11 @@ class Series:
         if not c1.is_rational() or c1.is_zero():
             raise ValueError(f"linear coefficient {c1} is not invertible")
         c = c1.as_rational()
-        f = self if c == 1 else self / c
-        # Order-by-order solve: with g known through z^(n-1) (and g_n = 0),
-        # the z^n coefficient of f(g) is off by exactly g_n, since f_1 = 1.
-        g = [SPoly(), SPoly.const(1)]
+        g = [SPoly(), SPoly.const(1 / c)]
         for n in range(2, self.order + 1):
-            approx = Series(g, self.order)
-            err = f.compose(approx).coeffs[n]
-            g.append(-err)
-        gbar = Series(g, self.order)
-        if c != 1:
-            gbar = gbar.compose(Series.variable(self.order) / c)
-        return gbar
+            err = self.truncate(n).compose(Series(g, n)).coeffs[n]
+            g.append(-err / c)
+        return Series(g, self.order)
 
     # -- exp, log, rational powers --------------------------------------
 

@@ -14,10 +14,12 @@ coeff_st = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 series_st = st.lists(coeff_st, max_size=N + 1).map(lambda cs: Series(cs, N))
 # composable: zero constant term
 inner_st = st.lists(coeff_st, max_size=N).map(lambda cs: Series([0] + cs, N))
-# revertible: f = c z + O(z^2) with a rational unit c, often c = 1
+# revertible over Q[s]: f = c z + sum_k p_k(s) z^k with a rational unit c,
+# often c = 1, and deg p_k <= 2
 linear_st = st.one_of(st.just(Fraction(1)), coeff_st.filter(lambda c: c != 0))
-revertible_st = st.builds(lambda c, cs: Series([0, c] + cs, N), linear_st,
-                          st.lists(coeff_st, max_size=N - 1))
+spoly2_st = st.lists(coeff_st, max_size=3).map(SPoly)
+revertible_st = st.builds(lambda c, ps: Series([0, c] + ps, N), linear_st,
+                          st.lists(spoly2_st, max_size=N - 1))
 
 
 def test_constructors_and_indexing():
@@ -105,12 +107,30 @@ def test_composition_is_associative(f, g, h):
     assert f.compose(g).compose(h) == f.compose(g.compose(h))
 
 
+@settings(deadline=None)
 @given(revertible_st)
 def test_reversion_round_trip(f):
     fbar = f.revert()
     z = Series.variable(N)
     assert f.compose(fbar) == z
     assert fbar.compose(f) == z
+
+
+def test_reversion_step_n_composes_at_order_n(monkeypatch):
+    # only the order-n truncations reach z^n; with c != 1 no composition
+    # follows the solve
+    orders = []
+    compose = Series.compose
+
+    def recording_compose(self, inner):
+        orders.append(min(self.order, inner.order))
+        return compose(self, inner)
+
+    s = SPoly.s()
+    f = Series([0, Fraction(-3, 2)] + [s + k for k in range(2, N + 1)], N)
+    monkeypatch.setattr(Series, "compose", recording_compose)
+    f.revert()
+    assert orders == list(range(2, N + 1))
 
 
 @given(inner_st)
