@@ -22,7 +22,7 @@ import re
 import sys
 
 from .scalars import as_s, parse_rational
-from .riordan import array_coeffs, catalog
+from .riordan import CATALOG, array_coeffs, catalog
 from .hsu_shiue import HSParams, hs_egf, hs_triangle_rec
 from .two_point import TwoPointParams, two_point_egf
 from .ordering import (SingleAnnihilatorWord, power_symbol, s_ordered_symbol,
@@ -30,16 +30,6 @@ from .ordering import (SingleAnnihilatorWord, power_symbol, s_ordered_symbol,
 from .verify import SUITES, run_all, run_suite, suite_passed
 
 DEFAULT_TRUNC_ORDER = 8
-
-
-def _trunc_order(args) -> int:
-    if args.N < 0:
-        raise ValueError("truncation order must be >= 0")
-    return args.N
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, indent=2)
 
 
 def _emit(text: str, out) -> None:
@@ -50,6 +40,21 @@ def _emit(text: str, out) -> None:
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _output(args, result, csv, to_json=None) -> int:
+    """Write ``result`` to --out FILE or stdout: ``csv(result)`` under
+    --format csv, else the JSON of ``to_json(result)`` or of
+    ``result.to_json()``.  Exit code 0."""
+    _emit(csv(result) if args.format == "csv" else
+          json.dumps(to_json(result) if to_json else result.to_json(),
+                     indent=2), args.out)
+    return 0
+
+
+def _triangle_csv(tri) -> str:
+    """One row per line; exact rational (or polynomial-in-s) cells."""
+    return "\n".join(",".join(str(c) for c in row) for row in tri.rows) + "\n"
 
 
 def _egf_csv(egf) -> str:
@@ -76,75 +81,54 @@ def _symbol_series_csv(series) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_hs_triangle(args) -> int:
-    tri = hs_triangle_rec(HSParams(args.A, args.B, args.r), _trunc_order(args))
-    _emit(tri.to_csv() if args.format == "csv" else _dump(tri.to_json()),
-          args.out)
-    return 0
+    tri = hs_triangle_rec(HSParams(args.A, args.B, args.r), args.N)
+    return _output(args, tri, _triangle_csv)
 
 
 def _cmd_hs_egf(args) -> int:
-    egf = hs_egf(HSParams(args.A, args.B, args.r), _trunc_order(args))
-    _emit(_egf_csv(egf) if args.format == "csv" else _dump(egf.to_json()),
-          args.out)
-    return 0
+    return _output(args, hs_egf(HSParams(args.A, args.B, args.r), args.N),
+                   _egf_csv)
 
 
 def _cmd_two_point_egf(args) -> int:
     p = TwoPointParams(args.A, args.B, args.r, args.r_prime, args.s)
-    egf = two_point_egf(p, _trunc_order(args))
-    _emit(_egf_csv(egf) if args.format == "csv" else _dump(egf.to_json()),
-          args.out)
-    return 0
+    return _output(args, two_point_egf(p, args.N), _egf_csv)
 
 
 def _cmd_order(args) -> int:
     w = SingleAnnihilatorWord(args.L, args.R)
-    series = s_ordered_symbol(w, args.s, _trunc_order(args))
-    _emit(_symbol_series_csv(series) if args.format == "csv"
-          else _dump(series.to_json()), args.out)
-    return 0
+    return _output(args, s_ordered_symbol(w, args.s, args.N),
+                   _symbol_series_csv)
 
 
 def _cmd_power(args) -> int:
     w = SingleAnnihilatorWord(args.L, args.R)
-    poly = power_symbol(w, args.n, args.s)
-    _emit(_table_csv(poly) if args.format == "csv" else _dump(poly.to_json()),
-          args.out)
-    return 0
+    return _output(args, power_symbol(w, args.n, args.s), _table_csv)
 
 
 def _cmd_weyl_aaa(args) -> int:
-    poly = weyl_power_aaa(args.n)
-    _emit(_table_csv(poly) if args.format == "csv" else _dump(poly.to_json()),
-          args.out)
-    return 0
+    return _output(args, weyl_power_aaa(args.n), _table_csv)
 
 
 def _cmd_verify(args) -> int:
     if args.suite == "all":
         reports = run_all(args.seed)
         ok = all(suite_passed(r) for r in reports)
-        _emit(_dump(reports), args.out)
     else:
-        report = run_suite(args.suite, args.seed)
-        ok = suite_passed(report)
-        _emit(_dump(report), args.out)
+        reports = run_suite(args.suite, args.seed)
+        ok = suite_passed(reports)
+    _emit(json.dumps(reports, indent=2), args.out)
     return 0 if ok else 1
 
 
 def _cmd_catalog(args) -> int:
-    N = _trunc_order(args)
-    pair = catalog(args.sequence, N)
-    tri = array_coeffs(pair, N)
-    if args.format == "csv":
-        _emit(tri.to_csv(), args.out)
-    else:
-        _emit(_dump({"sequence": args.sequence,
-                     "convention": pair.convention,
-                     "g": pair.first.to_json(),
-                     "f": pair.second.to_json(),
-                     "triangle": tri.to_json()}), args.out)
-    return 0
+    pair = catalog(args.sequence, args.N)
+    return _output(args, array_coeffs(pair, args.N), _triangle_csv,
+                   lambda tri: {"sequence": args.sequence,
+                                "convention": pair.convention,
+                                "g": pair.first.to_json(),
+                                "f": pair.second.to_json(),
+                                "triangle": tri.to_json()})
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +153,13 @@ def _add_hs_params(sp) -> None:
                     help="parameter B")
     sp.add_argument("--r", type=parse_rational, required=True,
                     help="parameter r")
+
+
+def _add_word_flags(sp) -> None:
+    sp.add_argument("--L", type=int, required=True,
+                    help="creation operators left of the annihilator")
+    sp.add_argument("--R", type=int, required=True,
+                    help="creation operators right of the annihilator")
 
 
 def _add_s_flag(sp) -> None:
@@ -214,10 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("order",
                         help="s-ordered symbol series of exp(lambda ad^L a ad^R)")
-    sp.add_argument("--L", type=int, required=True,
-                    help="creation operators left of the annihilator")
-    sp.add_argument("--R", type=int, required=True,
-                    help="creation operators right of the annihilator")
+    _add_word_flags(sp)
     _add_s_flag(sp)
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_order)
@@ -225,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("power",
                         help="s-ordered symbol of the single power "
                              "(ad^L a ad^R)^n")
-    sp.add_argument("--L", type=int, required=True)
-    sp.add_argument("--R", type=int, required=True)
+    _add_word_flags(sp)
     sp.add_argument("--n", type=int, required=True, help="the power")
     _add_s_flag(sp)
     _add_output_flags(sp, truncated=False)
@@ -250,8 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("catalog",
                         help="a classical Sheffer pair and its triangle")
-    sp.add_argument("sequence",
-                    choices=("touchard", "hermite", "laguerre", "abel"))
+    sp.add_argument("sequence", choices=CATALOG)
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_catalog)
 
@@ -268,6 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "N", 0) < 0:
+            raise ValueError("truncation order must be >= 0")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

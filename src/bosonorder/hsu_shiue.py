@@ -58,7 +58,7 @@ class HSParams:
 def hs_pair(p: HSParams, N: int) -> RiordanPair:
     """The exponential Riordan pair [d, h] of HS(A, B, r), order N."""
     la = Series.log1p_over(p.A, N)
-    return RiordanPair((p.r * la).exp(), la.expm1_over(p.B), "riordan")
+    return RiordanPair((p.r * la).exp(), la.expm1_over(p.B))
 
 
 def hs_coeff_sum(p: HSParams, n: int, k: int) -> Fraction:

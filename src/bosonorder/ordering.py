@@ -205,7 +205,7 @@ def exp_number_closed_form(s, N: int) -> SymbolSeries:
     den = 1 + E - s * (1 - E)
     pref = 2 / den
     expo = (2 * (E - 1)) / den
-    egf = pair_to_egf(RiordanPair(pref, expo, "riordan"), N)
+    egf = pair_to_egf(RiordanPair(pref, expo), N)
     return SymbolSeries([_row_symbol(row, 0, n)
                          for n, row in enumerate(egf.zcoeffs)], N, s)
 

@@ -132,18 +132,9 @@ class Triangle:
         """Row n as the coefficient list of a polynomial in t."""
         return list(self.rows[n])
 
-    def __eq__(self, other):
-        if not isinstance(other, Triangle):
-            return NotImplemented
-        return self.N == other.N and self.rows == other.rows
-
     def to_json(self) -> dict:
         return {"N": self.N, "rows": [[c.to_json() for c in row]
                                       for row in self.rows]}
-
-    def to_csv(self) -> str:
-        """One row per line; exact rational (or polynomial-in-s) cells."""
-        return "\n".join(",".join(str(c) for c in row) for row in self.rows) + "\n"
 
 
 def _tp_trim(coeffs) -> tuple:
@@ -305,24 +296,24 @@ def ladder_apply(p: RiordanPair, which: str, poly) -> list:
 # Catalog of classical Sheffer sequences.
 # ---------------------------------------------------------------------------
 
-def catalog(name: str, N: int) -> RiordanPair:
-    """Classical sequences by name: touchard, hermite, laguerre, abel.
+#: Classical Sheffer sequences by name; each entry maps the variable z of
+#: the wanted truncation order to the Sheffer pair (g, f).
+#:
+#: touchard  Bell/Touchard polynomials    R[1, e^z - 1]   = S[1, log(1+D)]
+#: hermite   probabilists' Hermite He_n   R[e^(-z^2/2), z] = S[e^(D^2/2), D]
+#: laguerre  n! L_n(-t)                   R[1/(1-z), z/(1-z)] = S[1/(1+D), D/(1+D)]
+#: abel      A_n(t) = t (t - n)^(n-1)     S[1, D e^D]
+CATALOG = {
+    "touchard": lambda z: (Series.one(z.order), (1 + z).log()),
+    "hermite": lambda z: ((z * z / 2).exp(), z),
+    "laguerre": lambda z: ((1 + z).reciprocal(), z / (1 + z)),
+    "abel": lambda z: (Series.one(z.order), z * z.exp()),
+}
 
-    touchard  Bell/Touchard polynomials    R[1, e^z - 1]   = S[1, log(1+D)]
-    hermite   probabilists' Hermite He_n   R[e^(-z^2/2), z] = S[e^(D^2/2), D]
-    laguerre  n! L_n(-t)                   R[1/(1-z), z/(1-z)] = S[1/(1+D), D/(1+D)]
-    abel      A_n(t) = t (t - n)^(n-1)     S[1, D e^D]
-    """
-    z = Series.variable(N)
-    key = name.strip().lower()
-    if key == "touchard":
-        return RiordanPair(Series.one(N), (1 + z).log(), SHEFFER)
-    if key == "hermite":
-        return RiordanPair((z * z / 2).exp(), z, SHEFFER)
-    if key == "laguerre":
-        return RiordanPair((1 + z).reciprocal(), z / (1 + z), SHEFFER)
-    if key == "abel":
-        return RiordanPair(Series.one(N), z * z.exp(), SHEFFER)
-    raise ValueError(
-        f"unknown catalog sequence {name!r}; "
-        "available: touchard, hermite, laguerre, abel")
+
+def catalog(name: str, N: int) -> RiordanPair:
+    """The Sheffer-convention pair of the :data:`CATALOG` sequence ``name``."""
+    if name not in CATALOG:
+        raise ValueError(f"unknown catalog sequence {name!r}; "
+                         f"available: {', '.join(CATALOG)}")
+    return RiordanPair(*CATALOG[name](Series.variable(N)), SHEFFER)

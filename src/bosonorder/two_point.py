@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .scalars import SPoly, as_s
 from .series import Series
-from .riordan import SHEFFER, RIORDAN, BivariateEGF, RiordanPair, as_riordan, pair_to_egf
+from .riordan import SHEFFER, BivariateEGF, RiordanPair, as_riordan, pair_to_egf
 
 
 @dataclass(frozen=True)
@@ -78,15 +78,9 @@ def two_point_pair(p: TwoPointParams, N: int) -> RiordanPair:
 
 def two_point_egf(p: TwoPointParams, N: int) -> BivariateEGF:
     """The bivariate EGF gbar(z) exp(t fbar(z)), with [gbar, fbar] the group
-    inverse of [g, f]; fbar comes from series reversion."""
-    return pair_to_egf(as_riordan(two_point_pair(p, N)), N)
-
-
-def _sqrt_kernel(s: SPoly, N: int):
-    """The radical kernel shared by every e = 1 closed form:
-    Q = 1 + 2 s z + z^2 and its square root with constant term 1."""
-    q = Series((1, 2 * s, 1), N)
-    return q, q.pow_rational(Fraction(1, 2))
+    inverse of the Sheffer pair [g, f]; ``pair_to_egf`` does the group
+    inversion, and fbar comes from series reversion."""
+    return pair_to_egf(two_point_pair(p, N), N)
 
 
 def closed_form_e1(L: int, R: int, s, N: int) -> RiordanPair:
@@ -109,7 +103,8 @@ def closed_form_e1(L: int, R: int, s, N: int) -> RiordanPair:
     if L < 0 or R < 0 or L + R != 2:
         raise ValueError("closed_form_e1 requires L, R >= 0 with L + R = 2")
     s = as_s(s)
-    q, sq = _sqrt_kernel(s, N)
+    q = Series((1, 2 * s, 1), N)
+    sq = q.pow_rational(Fraction(1, 2))
     z = Series.variable(N)
     fbar = (2 * z) / (Series((1, s), N) + sq)
     zs = Series((s, 1), N)  # z + s
@@ -127,7 +122,7 @@ def closed_form_e1(L: int, R: int, s, N: int) -> RiordanPair:
             raise ValueError("(0,2) closed form needs a limit at s = -1; "
                              "use symbolic s and evaluate afterwards")
         gbar = (q + zs * sq).exact_scalar_div(divisor) / q
-    return RiordanPair(gbar, fbar, RIORDAN)
+    return RiordanPair(gbar, fbar)
 
 
 def quartic_residual(L: int, R: int, s, N: int) -> Series:

@@ -26,9 +26,9 @@ from .series import Series
 from .weyl import (ClassicalPoly, NormalForm, Word, anti_normal_order,
                    convert_order, normal_order, s_quantize,
                    weyl_quantize_monomial)
-from .riordan import (RiordanPair, _tp_trim, array_coeffs, as_riordan,
-                      catalog, group_inverse, group_product, identity_pair,
-                      ladder_apply, ordinary_array_coeffs)
+from .riordan import (CATALOG, RiordanPair, _tp_trim, array_coeffs,
+                      as_riordan, catalog, group_inverse, group_product,
+                      identity_pair, ladder_apply, ordinary_array_coeffs)
 from .hsu_shiue import (HSParams, hs_coeff_sum, hs_egf, hs_pair,
                         hs_pde_residual, hs_triangle_rec)
 from .two_point import (TwoPointParams, closed_form_e1, quartic_leading_coeffs,
@@ -39,7 +39,6 @@ from .ordering import (SingleAnnihilatorWord, blasiak_identity_check,
                        s_ordered_symbol, weyl_power_aaa)
 
 SYMBOLIC = SPoly.s()
-CATALOG_NAMES = ("touchard", "hermite", "laguerre", "abel")
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +392,7 @@ def suite_riordan_group(seed: int = 0) -> dict:
             _pairs(group_product(inv, p1), ident)))
         cases.append(_check({"draw": i, "order": order}, res))
 
-    for name in CATALOG_NAMES:
+    for name in CATALOG:
         pair = catalog(name, order)
         tri = array_coeffs(pair, ladder_nmax + 1)
         res = _first(_ladder_residuals(pair, tri, ladder_nmax))
@@ -419,7 +418,7 @@ def suite_blasiak(seed: int = 0) -> dict:
     pair."""
     nd = nl = 6
     cases = []
-    for name in CATALOG_NAMES:
+    for name in CATALOG:
         pair = catalog(name, nd + nl + 1)
         out = blasiak_identity_check(pair, nd, nl)
         res = "0" if out["equal"] else f"mismatches at {out['mismatches'][:4]}"

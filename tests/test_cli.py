@@ -18,6 +18,7 @@ from bosonorder import cli
 README = Path(__file__).resolve().parent.parent / "README.md"
 GOLDEN = json.loads((Path(__file__).resolve().parent / "golden" / "cli.json")
                     .read_text(encoding="utf-8"))
+GOLDEN_IDS = [f"{i:02d}-{c['argv'][0]}" for i, c in enumerate(GOLDEN)]
 
 
 def run_cli(capsys, *argv):
@@ -178,13 +179,21 @@ def test_verify_reports_and_exit_codes(capsys, monkeypatch):
     assert code == 1
 
 
-@pytest.mark.parametrize("case", GOLDEN,
-                         ids=[f"{i:02d}-{c['argv'][0]}"
-                              for i, c in enumerate(GOLDEN)])
+@pytest.mark.parametrize("case", GOLDEN, ids=GOLDEN_IDS)
 def test_golden_output(capsys, case):
     code, out = run_cli(capsys, *case["argv"])
     assert code == case["exit"]
     assert out == case["stdout"]
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=GOLDEN_IDS)
+def test_golden_output_to_file(capsys, tmp_path, case):
+    """--out FILE writes exactly the golden stdout and prints nothing."""
+    target = tmp_path / "out"
+    code, out = run_cli(capsys, *case["argv"], "--out", str(target))
+    assert code == case["exit"]
+    assert out == ""
+    assert target.read_bytes() == case["stdout"].encode("utf-8")
 
 
 def test_byte_level_determinism(capsys):

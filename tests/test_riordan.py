@@ -12,10 +12,12 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bosonorder.riordan import (BivariateEGF, RiordanPair, array_coeffs,
-                                as_riordan, catalog, group_inverse,
-                                group_product, identity_pair, ladder_apply,
-                                ordinary_array_coeffs, pair_to_egf)
+from bosonorder import cli
+from bosonorder.riordan import (BivariateEGF, RiordanPair, Triangle,
+                                array_coeffs, as_riordan, catalog,
+                                group_inverse, group_product, identity_pair,
+                                ladder_apply, ordinary_array_coeffs,
+                                pair_to_egf)
 from bosonorder.scalars import SPoly, binomial
 from bosonorder.series import Series
 from bosonorder.two_point import TwoPointParams, two_point_egf, two_point_pair
@@ -208,7 +210,15 @@ def test_triangle_serialization():
     tri = array_coeffs(identity_pair(3), 3)
     assert tri.entry(2, 2) == 1 and tri.entry(2, 0) == 0
     assert tri.entry(1, 3) == 0  # outside the triangle
-    assert tri.to_csv() == "1\n0,1\n0,0,1\n0,0,0,1\n"
+    assert cli._triangle_csv(tri) == "1\n0,1\n0,0,1\n0,0,0,1\n"
+
+
+def test_triangle_equality():
+    tri = array_coeffs(identity_pair(3), 3)
+    assert tri == Triangle(3, [[1], [0, 1], [0, 0, 1], [0, 0, 0, 1]])
+    assert tri != array_coeffs(identity_pair(3), 2)
+    assert tri != Triangle(3, [[1], [0, 1], [0, 2, 1], [0, 0, 0, 1]])
+    assert tri != pair_to_egf(identity_pair(3), 3)
 
 
 def test_egf_triangle_needs_polynomial_rows():
