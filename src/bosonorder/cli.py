@@ -146,12 +146,25 @@ def _add_output_flags(sp, truncated: bool = True) -> None:
                         help=f"truncation order (default {DEFAULT_TRUNC_ORDER})")
 
 
+def _arg_type(name: str, parse):
+    """``parse`` as an argparse type named ``name``: argparse reports bad
+    input as "invalid NAME value: 'x'", taking NAME from ``__name__``."""
+    def convert(text):
+        return parse(text)
+    convert.__name__ = name
+    return convert
+
+
+_rational = _arg_type("rational", parse_rational)
+_ordering = _arg_type("ordering", as_s)
+
+
 def _add_hs_params(sp) -> None:
-    sp.add_argument("--A", type=parse_rational, required=True,
+    sp.add_argument("--A", type=_rational, required=True,
                     help="parameter A, a rational like 3 or -1/2")
-    sp.add_argument("--B", type=parse_rational, required=True,
+    sp.add_argument("--B", type=_rational, required=True,
                     help="parameter B")
-    sp.add_argument("--r", type=parse_rational, required=True,
+    sp.add_argument("--r", type=_rational, required=True,
                     help="parameter r")
 
 
@@ -163,7 +176,7 @@ def _add_word_flags(sp) -> None:
 
 
 def _add_s_flag(sp) -> None:
-    sp.add_argument("--s", type=as_s, default="symbolic",
+    sp.add_argument("--s", type=_ordering, default="symbolic",
                     help="ordering parameter: a rational, or one of "
                          "normal/weyl/antinormal/symbolic (default symbolic)")
 
@@ -197,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="bivariate EGF of the two-point family "
                              "T(A, B, r, r'; s)")
     _add_hs_params(sp)
-    sp.add_argument("--r-prime", type=parse_rational, required=True,
+    sp.add_argument("--r-prime", type=_rational, required=True,
                     dest="r_prime", help="parameter r'")
     _add_s_flag(sp)
     _add_output_flags(sp)

@@ -7,9 +7,13 @@ than its inputs support.  All operations are exact: no floats anywhere.
 
 The operations are the standard formal ones -- Cauchy product, composition,
 compositional reversion, exp/log, and rational powers f^q = exp(q log f) for
-series with constant term 1.  Reversion solves order by order: step n
-composes the order-n truncations, the only terms that reach z^n, and divides
-the z^n error by the linear coefficient c = f_1.
+series with constant term 1.  At truncation order N each costs O(N^2)
+coefficient operations, except composition and reversion, which cost O(N^3).
+Composition is Horner's rule with truncated steps: the partial sum that has
+just taken f_k is later multiplied by inner^k, so it is carried only to order
+N - k.  Reversion is Lagrange inversion, g_n = (1/n) [z^(n-1)] (z/f)^n
+(Brent & Kung, J. ACM 25, 1978): one reciprocal for z/f and one running
+product per n, with no composition.
 """
 
 from __future__ import annotations
@@ -185,24 +189,40 @@ class Series:
     # -- composition and reversion --------------------------------------
 
     def compose(self, inner: "Series") -> "Series":
-        """self(inner), requiring inner to have zero constant term."""
+        """self(inner), requiring inner to have zero constant term.
+
+        Horner's rule, out = (...(f_n inner + f_(n-1)) inner + ...) + f_0, at
+        order n = min of the two orders.  The partial sum that has just taken
+        f_k is later multiplied by inner^k, whose lowest term is z^k, so it is
+        needed only through z^(n-k): step k multiplies at order n - k, and
+        the whole composition costs O(n^3).
+
+        >>> z = Series.variable(4)
+        >>> print((z + z * z).compose(z - z * z))
+        z - 2*z^3 + z^4 + O(z^5)
+        """
         if not inner.coeffs[0].is_zero():
             raise ValueError("composition requires zero constant term in the inner series")
         n = min(self.order, inner.order)
-        out = Series.zero(n)
+        out = Series.zero(0)
         for k in range(n, -1, -1):
-            out = out * inner + self.coeffs[k]
+            m = n - k
+            # pad to order m first: a product takes the smaller order
+            out = Series(out.coeffs, m) * inner.truncate(m) + self.coeffs[k]
         return out
 
     def revert(self) -> "Series":
         """Compositional inverse g with g(self(z)) = self(g(z)) = z.
 
         Requires zero constant term and an invertible linear coefficient,
-        a rational unit c = f_1.  Solves order by order: with g known
-        through z^(n-1) and g_n = 0, the z^n coefficient of f(g) is off by
-        exactly c g_n, so g_1 = 1/c and g_n = -[z^n] f(g)/c.  Only the
-        order-n truncations of f and g reach z^n, so step n composes at
-        order n.
+        a rational unit c = f_1.  Lagrange inversion: with phi = z/f, whose
+        constant term is 1/c, g_n = (1/n) [z^(n-1)] phi^n.  phi is one
+        reciprocal at order N - 1, and one running product P = phi^n gives
+        every g_n, so reversion costs N products, O(N^3), and no composition.
+
+        >>> z = Series.variable(4)
+        >>> print((1 + z).log().revert())
+        z + 1/2*z^2 + 1/6*z^3 + 1/24*z^4 + O(z^5)
         """
         if not self.coeffs[0].is_zero():
             raise ValueError("reversion requires zero constant term")
@@ -211,11 +231,13 @@ class Series:
         c1 = self.coeffs[1]
         if not c1.is_rational() or c1.is_zero():
             raise ValueError(f"linear coefficient {c1} is not invertible")
-        c = c1.as_rational()
-        g = [SPoly(), SPoly.const(1 / c)]
-        for n in range(2, self.order + 1):
-            err = self.truncate(n).compose(Series(g, n)).coeffs[n]
-            g.append(-err / c)
+        phi = Series(self.coeffs[1:], self.order - 1).reciprocal()
+        g = [SPoly()]
+        power = phi
+        for n in range(1, self.order + 1):
+            g.append(power.coeffs[n - 1] / n)
+            if n < self.order:
+                power = power * phi
         return Series(g, self.order)
 
     # -- exp, log, rational powers --------------------------------------

@@ -27,7 +27,7 @@ At the endpoints the family collapses onto the one-point one:
     T(A, B, r, r'; -1) = HS(-A, B, r')        T(A, B, r, r'; +1) = HS(A, -B, r)
 
 The bivariate EGF comes from the group inverse of [g, f]: the outer series
-is reverted (order-by-order solve) -- no radicals needed at any e.  For the
+is reverted (Lagrange inversion) -- no radicals needed at any e.  For the
 low excesses e = 1 and e = 2 the reverted pair also has radical/algebraic
 closed forms, kept here as independent cross-checks of the reversion path.
 """

@@ -109,9 +109,20 @@ def test_out_writes_file(capsys, tmp_path):
 
 
 def test_usage_errors_exit_2(capsys, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["hs-triangle", "--A", "bogus", "--B", "1", "--r", "0"])
-    assert exc.value.code == 2
+    # a bad value is named by the input it should be, on stderr only
+    for argv, line in (
+            (["hs-triangle", "--A", "bogus", "--B", "1", "--r", "0"],
+             "bosonorder hs-triangle: error: argument --A: "
+             "invalid rational value: 'bogus'"),
+            (["order", "--L", "1", "--R", "0", "--s", "foo"],
+             "bosonorder order: error: argument --s: "
+             "invalid ordering value: 'foo'")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == line
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "no-such-suite"])
     assert exc.value.code == 2
@@ -119,13 +130,22 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         cli.main([])
     assert exc.value.code == 2
     # a zero denominator is malformed input, not a failing verification
-    for argv in (["order", "--L", "1", "--R", "0", "--s", "1/0"],
-                 ["hs-triangle", "--A", "1/0", "--B", "1", "--r", "0"],
-                 ["hs-egf", "--A", "0", "--B", "-2/0", "--r", "0"],
-                 ["hs-egf", "--A", "0", "--B", "1", "--r", "3/0"]):
+    for argv, kind, bad in (
+            (["order", "--L", "1", "--R", "0", "--s", "1/0"],
+             "ordering", "1/0"),
+            (["hs-triangle", "--A", "1/0", "--B", "1", "--r", "0"],
+             "rational", "1/0"),
+            (["hs-egf", "--A", "0", "--B", "-2/0", "--r", "0"],
+             "rational", "-2/0"),
+            (["hs-egf", "--A", "0", "--B", "1", "--r", "3/0"],
+             "rational", "3/0"),
+            (["two-point-egf", "--A", "0", "--B", "1", "--r", "0",
+              "--r-prime", "3/0"], "rational", "3/0")):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.endswith(f"invalid {kind} value: {bad!r}")
     # power and weyl-aaa compute one exact power and take no --N
     for argv in (["power", "--L", "1", "--R", "0", "--n", "2", "--N", "-1"],
                  ["weyl-aaa", "--n", "2", "--N", "3"]):

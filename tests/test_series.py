@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bosonorder.scalars import SPoly
 from bosonorder.series import Series
@@ -116,21 +116,68 @@ def test_reversion_round_trip(f):
     assert fbar.compose(f) == z
 
 
-def test_reversion_step_n_composes_at_order_n(monkeypatch):
-    # only the order-n truncations reach z^n; with c != 1 no composition
-    # follows the solve
-    orders = []
-    compose = Series.compose
+def _revert_by_solve(f: Series) -> Series:
+    """The order-by-order reversion: with g known through z^(n-1) and
+    g_n = 0, [z^n] f(g) is off by exactly c g_n, so g_1 = 1/c and
+    g_n = -[z^n] f(g)/c, where only the order-n truncations reach z^n."""
+    c = f[1].as_rational()
+    g = [SPoly(), SPoly.const(1 / c)]
+    for n in range(2, f.order + 1):
+        err = f.truncate(n).compose(Series(g, n))[n]
+        g.append(-err / c)
+    return Series(g, f.order)
 
-    def recording_compose(self, inner):
-        orders.append(min(self.order, inner.order))
-        return compose(self, inner)
+
+@settings(deadline=None)
+@given(revertible_st)
+@example(Series([0, Fraction(-3, 2), SPoly.s(), 0, 1 - SPoly.s()], N))
+def test_lagrange_reversion_matches_the_order_by_order_solve(f):
+    assert f.revert() == _revert_by_solve(f)
+    assert f.truncate(1).revert() == _revert_by_solve(f.truncate(1))
+
+
+def test_reversion_makes_no_composition(monkeypatch):
+    def no_compose(self, inner):
+        raise AssertionError("revert called compose")
 
     s = SPoly.s()
     f = Series([0, Fraction(-3, 2)] + [s + k for k in range(2, N + 1)], N)
-    monkeypatch.setattr(Series, "compose", recording_compose)
-    f.revert()
-    assert orders == list(range(2, N + 1))
+    expected = _revert_by_solve(f)
+    monkeypatch.setattr(Series, "compose", no_compose)
+    assert f.revert() == expected
+
+
+def _compose_full_order(f: Series, inner: Series) -> Series:
+    """Horner's rule with every step at the full order."""
+    n = min(f.order, inner.order)
+    out = Series.zero(n)
+    for k in range(n, -1, -1):
+        out = out * inner + f[k]
+    return out
+
+
+# Q[s] coefficients with frequent zero gaps, at orders 0 .. N
+gappy_st = st.one_of(st.just(SPoly()), spoly2_st)
+
+
+@st.composite
+def compose_case_st(draw):
+    order = draw(st.integers(0, N))
+    inner_order = draw(st.integers(0, N))
+    f = Series(draw(st.lists(gappy_st, max_size=order + 1)), order)
+    inner = Series([0] + draw(st.lists(gappy_st, max_size=inner_order)),
+                   inner_order)
+    return f, inner
+
+
+@settings(deadline=None)
+@given(compose_case_st())
+@example((Series([2], 0), Series([0, 1], 1)))
+@example((Series([1, 0, SPoly.s()], 2), Series([0], 0)))
+@example((Series([1, 2, 0, 3], 3), Series([0, SPoly.s(), 0, 1], 3)))
+def test_truncated_horner_matches_full_order_horner(case):
+    f, inner = case
+    assert f.compose(inner) == _compose_full_order(f, inner)
 
 
 @given(inner_st)

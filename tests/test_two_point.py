@@ -63,9 +63,13 @@ def test_endpoint_reduction_random(a, b, r, rp):
 def _raising_egf(p: TwoPointParams, N: int) -> BivariateEGF:
     """The two-point EGF row by row from the Sheffer raising operator: with
     u = 1/f' and w = u g'/g, e_(n+1) = (t u(D) e_n - w(D) e_n)/(n+1), where
-    e_n is the z^n coefficient.  No reversion and no group inverse."""
-    u, w = raising_series(two_point_pair(p, N + 1), N)
+    e_n is the z^n coefficient.  No reversion and no group inverse.  Row N
+    applies D-series only to rows of degree <= N - 1, so they are needed at
+    order N - 1, and the pair at order N, the order ``two_point_egf`` gets,
+    is enough; N = 0 needs no pair at all."""
     rows = [[SPoly.const(1)]]
+    if N:
+        u, w = raising_series(two_point_pair(p, N), N - 1)
     for n in range(N):
         up = [SPoly()] + _apply_dseries(u, rows[-1])
         down = _apply_dseries(w, rows[-1]) + [SPoly()]
