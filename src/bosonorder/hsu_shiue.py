@@ -18,9 +18,11 @@ Three independent computational routes are provided and cross-checked:
 
       d(z) = (1 + A z)^(r/A)          h(z) = ((1 + A z)^(B/A) - 1)/B
 
-  computed as d = exp(r L_A), h = E_B(L_A) from L_c = log(1 + c z)/c and
-  E_b(x) = (e^(b x) - 1)/b, which are z and x at c = 0 and b = 0, so one
-  formula holds for every (A, B), the limits A = 0 and B = 0 included.
+  read off from the generalized factorials (Hsu & Shiue, Adv. Appl. Math.
+  20, 1998): d_n = (r | A)_n/n! and h_n = (B - A | A)_(n-1)/n!, since
+  h' = (1 + A z)^((B - A)/A).  Each coefficient is a product of linear
+  factors, so one formula holds for every (A, B), the limits A = 0
+  (exponentials) and B = 0 (a logarithm) included.
 
 Duality: the inverse array of HS(A, B, r) is HS(B, A, -r); negating all
 three parameters multiplies entries by (-1)^(n-k).
@@ -56,9 +58,10 @@ class HSParams:
 
 
 def hs_pair(p: HSParams, N: int) -> RiordanPair:
-    """The exponential Riordan pair [d, h] of HS(A, B, r), order N."""
-    la = Series.log1p_over(p.A, N)
-    return RiordanPair((p.r * la).exp(), la.expm1_over(p.B))
+    """The exponential Riordan pair [d, h] of HS(A, B, r), order N:
+    d = (1 + A z)^(r/A) and h the integral of (1 + A z)^((B - A)/A)."""
+    h = Series.binomial(p.A, p.B - p.A, N).integral().truncate(N)
+    return RiordanPair(Series.binomial(p.A, p.r, N), h)
 
 
 def hs_coeff_sum(p: HSParams, n: int, k: int) -> Fraction:

@@ -27,9 +27,10 @@ from math import factorial
 
 from .scalars import as_s, binomial
 from .series import Series
-from .riordan import SHEFFER, RiordanPair, pair_to_egf, raising_series
+from .riordan import (SHEFFER, RiordanPair, pair_to_egf, raising_series,
+                      sheffer_row)
 from .hsu_shiue import HSParams, hs_triangle_rec
-from .two_point import TwoPointParams, two_point_egf
+from .two_point import TwoPointParams, two_point_egf, two_point_pair
 from .weyl import (AntiNormalForm, ClassicalPoly, NormalForm, Word,
                    normal_order, s_quantize)
 
@@ -183,11 +184,18 @@ def s_ordered_symbol(w: SingleAnnihilatorWord, s, N: int) -> SymbolSeries:
 
 
 def power_symbol(w: SingleAnnihilatorWord, n: int, s) -> ClassicalPoly:
-    """The s-ordered symbol of the single power w^n: x*^(en) T_n(x* x)."""
+    """The s-ordered symbol of the single power w^n: x*^(en) T_n(x* x).
+
+    T_n is row n of the two-point family at (A, B, r, r') = (e, 1, -L, R),
+    whose Sheffer pair [g, f] has generalized-factorial coefficients; the
+    pair is built at order n + 1 and ``sheffer_row`` reads the one row from
+    it by the Lagrange-Bürmann formula, with no group inversion and no
+    other row.
+    """
     if n < 0:
         raise ValueError("power must be nonnegative")
-    egf = two_point_egf(w.two_point_params(as_s(s)), n)
-    return _row_symbol(egf.row_poly(n), w.e, n)
+    pair = two_point_pair(w.two_point_params(as_s(s)), n + 1)
+    return _row_symbol(sheffer_row(pair, n), w.e, n)
 
 
 def exp_number_closed_form(s, N: int) -> SymbolSeries:

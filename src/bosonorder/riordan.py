@@ -221,6 +221,31 @@ def pair_to_egf(p: RiordanPair, N: int) -> BivariateEGF:
     return BivariateEGF(_array_rows(p.first, p.second, N, invfact), N)
 
 
+def sheffer_row(p: RiordanPair, n: int) -> list:
+    """Row n of the array of a Sheffer pair [g, f] of order >= n + 1, as a
+    trimmed coefficient list in t, with no group inversion.
+
+    The array is that of the inverse [gbar, fbar], and with phi = w/f the
+    Lagrange-Bürmann formula (Stanley, Enumerative Combinatorics 2, sec. 5.4)
+    gives
+
+        [z^n] gbar fbar^k = [w^(n-k)] f'(w) phi(w)^(n+1) / g(w),
+
+    so entry k is n!/k! times that: one power of phi and two products at
+    order n, no reversion, no composition and no other row.
+    """
+    if p.convention != SHEFFER:
+        raise ValueError("sheffer_row expects a Sheffer-convention pair")
+    if p.order < n + 1:
+        raise ValueError(f"truncation order {p.order} insufficient for row {n}")
+    f = p.second
+    phi = Series(f.coeffs[1:], n).reciprocal()
+    q = f.deriv().truncate(n) * phi ** (n + 1) / p.first.truncate(n)
+    nf = factorial(n)
+    return list(_tp_trim(q.coeffs[n - k] * (nf // factorial(k))
+                         for k in range(n + 1)))
+
+
 def array_coeffs(p: RiordanPair, N: int) -> Triangle:
     """The coefficient triangle s_{n,k} = (n!/k!) [z^n] d h^k through row N."""
     return pair_to_egf(p, N).to_triangle()
@@ -271,21 +296,22 @@ def ladder_apply(p: RiordanPair, which: str, poly) -> list:
     """Apply the lowering or raising operator of a Sheffer pair to a t-polynomial.
 
     ``poly`` is a coefficient list in t (ascending).  The D-series are
-    truncated at degree(poly)+1, which is exact.  Returns a trimmed
-    coefficient list.
+    truncated at d = degree(poly), which is exact: lowering reads f through
+    D^d, so the pair needs order d, and raising reads 1/f' and g'/g through
+    D^d, so it needs order d + 1.  Returns a trimmed coefficient list.
     """
     if p.convention != SHEFFER:
         raise ValueError("ladder_apply expects a Sheffer-convention pair")
     coeffs = list(_tp_trim(as_spoly(c) for c in poly))
-    order = max(len(coeffs), 1)
+    d = max(len(coeffs) - 1, 0)
     if which == "lowering":
-        if p.order < order:
+        if p.order < d:
             raise ValueError("pair truncation order too small")
-        return list(_tp_trim(_apply_dseries(p.second.truncate(order), coeffs)))
+        return list(_tp_trim(_apply_dseries(p.second.truncate(d), coeffs)))
     if which == "raising":
-        if p.order < order + 1:
+        if p.order < d + 1:
             raise ValueError("pair truncation order too small")
-        u, w = raising_series(p, order)
+        u, w = raising_series(p, d)
         down = _apply_dseries(w, coeffs) + [SPoly()]
         up = [SPoly()] + _apply_dseries(u, coeffs)
         return list(_tp_trim(a - b for a, b in zip(up, down)))

@@ -6,9 +6,11 @@ operand orders, so a result is never silently pretended to more precision
 than its inputs support.  All operations are exact: no floats anywhere.
 
 The operations are the standard formal ones -- Cauchy product, composition,
-compositional reversion, exp/log, and rational powers f^q = exp(q log f) for
-series with constant term 1.  At truncation order N each costs O(N^2)
-coefficient operations, except composition and reversion, which cost O(N^3).
+compositional reversion, exp/log, rational powers f^q = exp(q log f) for
+series with constant term 1, and the binomial series (1 + c z)^(a/c), whose
+coefficients are generalized factorials.  At truncation order N each costs
+O(N^2) coefficient operations or fewer, except composition and reversion,
+which cost O(N^3).
 Composition is Horner's rule with truncated steps: the partial sum that has
 just taken f_k is later multiplied by inner^k, so it is carried only to order
 N - k.  Reversion is Lagrange inversion, g_n = (1/n) [z^(n-1)] (z/f)^n
@@ -61,6 +63,25 @@ class Series:
     def variable(order: int) -> "Series":
         """The series z."""
         return Series((0, 1), order)
+
+    @staticmethod
+    def binomial(c, a, order: int) -> "Series":
+        """(1 + c z)^(a/c) = sum_n (a | c)_n z^n/n! for c and a in Q[s], with
+        the generalized factorial (a | c)_n = a (a - c) ... (a - (n-1) c).
+
+        Each coefficient is one product step from the one before,
+        t_n = t_(n-1) (a - (n-1) c)/n, so at c = 0 the same loop gives
+        e^(a z), and nothing is divided by c.
+
+        >>> print(Series.binomial(2, 1, 3))
+        1 + z - 1/2*z^2 + 1/2*z^3 + O(z^4)
+        """
+        c, step = as_spoly(c), as_spoly(a)
+        out = [SPoly.const(1)]
+        for n in range(1, order + 1):
+            out.append(out[-1] * step / n)
+            step = step - c
+        return Series(out, order)
 
     # -- queries ---------------------------------------------------------
 
@@ -268,25 +289,6 @@ class Series:
             out.append(self.coeffs[n] - acc / n)
         return Series(out, self.order)
 
-    @staticmethod
-    def log1p_over(c, order: int) -> "Series":
-        """log(1 + c z)/c = sum_{n>=1} (-c)^(n-1) z^n/n for c in Q[s]; it is
-        z at c = 0, and nothing is divided by c."""
-        step = -as_spoly(c)
-        out = [SPoly()]
-        power = SPoly.const(1)
-        for n in range(1, order + 1):
-            out.append(power / n)
-            power = power * step
-        return Series(out, order)
-
-    def expm1_over(self, a) -> "Series":
-        """(exp(a f) - 1)/a for rational a and f with zero constant term;
-        f itself at a = 0."""
-        if a == 0:
-            return self
-        return ((a * self).exp() - 1) / a
-
     def pow_rational(self, q) -> "Series":
         """f^q = exp(q log f) for rational q; requires constant term 1."""
         q = Fraction(q)
@@ -300,6 +302,11 @@ class Series:
             raise ValueError("cannot differentiate an order-0 truncation")
         return Series(((n + 1) * self.coeffs[n + 1] for n in range(self.order)),
                       self.order - 1)
+
+    def integral(self) -> "Series":
+        """The antiderivative with zero constant term; the order rises by one."""
+        return Series([SPoly()] + [c / (n + 1) for n, c in enumerate(self.coeffs)],
+                      self.order + 1)
 
     # -- evaluation of s -------------------------------------------------
 

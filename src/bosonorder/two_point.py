@@ -14,22 +14,29 @@ the defining series of T(A, B, r, r'; s) in Sheffer convention are
     g(D) = ((1+s)/2) (P/M)^(-r/B) + ((1-s)/2) (M/P)^(r'/B)
     f(D) = (M^(-A/B) - P^(-A/B)) / A
 
-and come from the helpers L_c and E_a of the Hsu-Shiue pair.  With
-w+- = (1+-s)/2, X = w+ L_(-w+ B) = -(log M)/B and Y = -w- L_(w- B),
+and, as for the Hsu-Shiue pair, their coefficients are generalized
+factorials.  With w+- = (1+-s)/2, each power of P or M is a binomial series
+(1 + c z)^(a/c) = sum_n (a | c)_n z^n/n!, so
 
-    g = w+ e^(-r Lambda) + w- e^(-r' Lambda)       f = E_A(X) - E_A(Y)
+    (P/M)^(-r/B) = (1 + w- B D)^(-r w- / (w- B)) (1 - w+ B D)^(-r w+ / (-w+ B))
 
-where Lambda = X - Y = (log P - log M)/B, at every (A, B), the limits A = 0
-and B = 0 included.
+and the same with r' in place of r, while
+
+    f_n = (w+^n - (-w-)^n) (A + B) (A + 2B) ... (A + (n-1) B) / n!
+
+Every coefficient is a product of linear factors, so one formula holds at
+every (A, B), the limits A = 0 and B = 0 included.
 
 At the endpoints the family collapses onto the one-point one:
 
     T(A, B, r, r'; -1) = HS(-A, B, r')        T(A, B, r, r'; +1) = HS(A, -B, r)
 
-The bivariate EGF comes from the group inverse of [g, f]: the outer series
-is reverted (Lagrange inversion) -- no radicals needed at any e.  For the
-low excesses e = 1 and e = 2 the reverted pair also has radical/algebraic
-closed forms, kept here as independent cross-checks of the reversion path.
+The bivariate EGF is the array of the group inverse [gbar, fbar] of [g, f],
+whose fbar comes from series reversion (Lagrange inversion) -- no radicals
+needed at any e.  One row needs no inverse: ``riordan.sheffer_row`` reads it
+from [g, f] itself.  For the low excesses e = 1 and e = 2 the inverted pair
+also has radical/algebraic closed forms, kept here as independent
+cross-checks of the inversion.
 """
 
 from __future__ import annotations
@@ -68,12 +75,20 @@ def two_point_pair(p: TwoPointParams, N: int) -> RiordanPair:
     """The Sheffer-convention pair [g, f] of the two-point family, order N."""
     wp = (1 + p.s) / 2
     wm = (1 - p.s) / 2
-    x = wp * Series.log1p_over(-wp * p.B, N)
-    y = -wm * Series.log1p_over(wm * p.B, N)
-    lam = x - y
-    g = wp * (-p.r * lam).exp() + wm * (-p.rp * lam).exp()
-    f = x.expm1_over(p.A) - y.expm1_over(p.A)
-    return RiordanPair(g, f, SHEFFER)
+
+    def power(r):  # (P/M)^(-r/B)
+        return (Series.binomial(wm * p.B, -r * wm, N)
+                * Series.binomial(-wp * p.B, -r * wp, N))
+
+    g = wp * power(p.r) + wm * power(p.rp)
+    f = [SPoly()]
+    up, down = SPoly.const(1), SPoly.const(1)  # w+^n and (-w-)^n
+    fall = Fraction(1)  # (A + B) ... (A + (n-1) B)/n!
+    for n in range(1, N + 1):
+        up, down = up * wp, -(down * wm)
+        f.append((up - down) * fall)
+        fall = fall * (p.A + n * p.B) / (n + 1)
+    return RiordanPair(g, Series(f, N), SHEFFER)
 
 
 def two_point_egf(p: TwoPointParams, N: int) -> BivariateEGF:

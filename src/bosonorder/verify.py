@@ -229,8 +229,10 @@ def _hs_residuals(p: HSParams, nmax: int):
 def suite_two_point_reduction(seed: int = 0) -> dict:
     """At the endpoints the two-point family collapses to one-point arrays:
     T(A,B,r,r'; -1) = HS(-A,B,r') and T(A,B,r,r'; +1) = HS(A,-B,r), checked
-    as equality of the generating pairs.  The first draws take A = 0, B = 0
-    and both, where L_c and E_a reduce to z and x; the rest are generic."""
+    as equality of the generating pairs, whose coefficients are generalized
+    factorials on both sides.  The first draws take A = 0, B = 0 and both,
+    where the factorials degenerate to powers (exponentials and logarithms);
+    the rest are generic."""
     order = 8
     rng = random.Random(seed)
     cases = []

@@ -6,6 +6,7 @@ import argparse
 import doctest
 import gc
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -224,10 +225,14 @@ def test_byte_level_determinism(capsys):
 
 
 def test_module_entry_point():
+    # the subprocess does not inherit pytest's pythonpath setting
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(README.parent / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "bosonorder", "hs-triangle", "--A", "0",
          "--B", "1", "--r", "0", "--N", "3", "--format", "csv"],
-        capture_output=True, text=True)
+        env=env, capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "1\n0,1\n0,1,1\n0,1,3,1\n"
 

@@ -3,6 +3,7 @@ oracle, plus the adjoint symmetry and the Sheffer exponential identity."""
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -11,6 +12,7 @@ from bosonorder.ordering import (SingleAnnihilatorWord, SymbolSeries,
                                  laguerre_power, oracle_exponential,
                                  power_normal_form, power_symbol,
                                  s_ordered_symbol, weyl_power_aaa)
+from bosonorder import riordan
 from bosonorder.riordan import RiordanPair, as_riordan, catalog
 from bosonorder.scalars import SPoly
 from bosonorder.series import Series
@@ -88,6 +90,36 @@ def test_power_symbol_reduces_to_transform():
     for n in range(4):
         sym = power_symbol(w, n, S)
         assert s_quantize(sym, S) == normal_order(w.word().power(n))
+
+
+WORDS = [SingleAnnihilatorWord(L, t - L)
+         for t in range(1, 5) for L in range(t + 1)]
+
+
+@pytest.mark.parametrize("s", [S, Fraction(1, 3)], ids=["symbolic", "1/3"])
+@pytest.mark.parametrize("w", WORDS, ids=lambda w: f"L{w.L}R{w.R}")
+def test_power_symbol_is_a_row_of_the_symbol_series(w, s):
+    # the one Lagrange-Bürmann row against n! times the lambda^n term of
+    # the whole group-inverted series
+    ser = s_ordered_symbol(w, s, 10)
+    for n in range(11):
+        assert power_symbol(w, n, s) == ser[n].scale(factorial(n))
+
+
+def test_power_symbol_inverts_nothing(monkeypatch):
+    w = SingleAnnihilatorWord(2, 1)
+    want = power_symbol(w, 7, S)
+
+    def refuse(*args):
+        raise AssertionError("power_symbol must not invert the pair")
+
+    monkeypatch.setattr(Series, "revert", refuse)
+    monkeypatch.setattr(Series, "compose", refuse)
+    monkeypatch.setattr(riordan, "group_inverse", refuse)
+    monkeypatch.setattr(riordan, "_array_rows", refuse)
+    assert power_symbol(w, 7, S) == want
+    with pytest.raises(AssertionError):
+        s_ordered_symbol(w, S, 7)
 
 
 def test_endpoint_symbols_match_oracle():

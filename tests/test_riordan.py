@@ -10,14 +10,14 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bosonorder import cli
-from bosonorder.riordan import (BivariateEGF, RiordanPair, Triangle,
+from bosonorder.riordan import (CATALOG, BivariateEGF, RiordanPair, Triangle,
                                 array_coeffs, as_riordan, catalog,
                                 group_inverse, group_product, identity_pair,
                                 ladder_apply, ordinary_array_coeffs,
-                                pair_to_egf)
+                                pair_to_egf, sheffer_row)
 from bosonorder.scalars import SPoly, binomial
 from bosonorder.series import Series
 from bosonorder.two_point import TwoPointParams, two_point_egf, two_point_pair
@@ -189,6 +189,56 @@ def test_ladder_guards():
     with pytest.raises(ValueError):
         # polynomial too long for the carried truncation order
         ladder_apply(pair, "raising", [SPoly.const(1)] * 12)
+
+
+@pytest.mark.parametrize("case", ["abel", (2, 1, -2, 1, SPoly.s())],
+                         ids=_ladder_id)
+def test_ladder_exact_truncation_orders(case):
+    # a degree-d polynomial needs the pair at order d to lower and at
+    # order d + 1 to raise; one order less is refused
+    def pair(order):
+        if isinstance(case, str):
+            return catalog(case, order)
+        return two_point_pair(TwoPointParams(*case), order)
+
+    full = pair(9)
+    for d in range(7):
+        poly = [SPoly((k + 1, -k)) for k in range(d + 1)]
+        for which, order in (("lowering", d), ("raising", d + 1)):
+            want = ladder_apply(full, which, poly)
+            assert ladder_apply(pair(order), which, poly) == want
+            if order:
+                with pytest.raises(ValueError):
+                    ladder_apply(pair(order - 1), which, poly)
+
+
+sheffer_case_st = st.one_of(
+    st.sampled_from(sorted(CATALOG)),
+    st.tuples(coeff_st, coeff_st, coeff_st, coeff_st,
+              st.one_of(st.just(SPoly.s()), coeff_st)))
+
+
+@given(sheffer_case_st, st.integers(0, 9))
+@example("touchard", 0)
+@example("hermite", 9)
+@example("laguerre", 0)
+@example("abel", 9)
+@example((2, 1, -2, 1, SPoly.s()), 0)
+@example((0, 0, 1, 2, SPoly.s()), 9)
+@settings(max_examples=40, deadline=None)
+def test_sheffer_row_matches_group_inversion(case, n):
+    pair = (catalog(case, n + 1) if isinstance(case, str)
+            else two_point_pair(TwoPointParams(*case), n + 1))
+    assert sheffer_row(pair, n) == pair_to_egf(pair, n).row_poly(n)
+
+
+def test_sheffer_row_guards():
+    pair = catalog("abel", 4)
+    with pytest.raises(ValueError):
+        sheffer_row(as_riordan(pair), 2)
+    with pytest.raises(ValueError):
+        sheffer_row(pair, 4)
+    assert sheffer_row(pair, 3) == [0, 9, -6, 1]  # A_3 = t (t - 3)^2
 
 
 def test_catalog_unknown_name():

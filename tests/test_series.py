@@ -199,17 +199,31 @@ def test_pow_rational_needs_unit_constant():
         (2 + z).pow_rational(Fraction(1, 2))
 
 
-def test_log1p_over_and_expm1_over():
-    z = Series.variable(6)
-    c = Fraction(-2, 3)
-    assert c * Series.log1p_over(c, 6) == (1 + c * z).log()
-    assert Series.log1p_over(0, 6) == z
+@given(st.one_of(st.just(Fraction(0)), coeff_st), spoly2_st)
+@example(Fraction(0), SPoly.s())
+@example(Fraction(-2, 3), SPoly((1, 1)))
+@settings(max_examples=30, deadline=None)
+def test_binomial_is_exp_of_a_scaled_log(c, a):
+    # (1 + c z)^(a/c) = exp(a log(1 + c z)/c), and e^(a z) at c = 0
+    z = Series.variable(N)
+    want = (a * z).exp() if c == 0 else ((1 + c * z).log() * (a / c)).exp()
+    assert Series.binomial(c, a, N) == want
+
+
+def test_binomial_generalized_factorials_in_s():
+    # (a | s)_n/n! with a = 1: 1, 1, (1 - s)/2, (1 - s)(1 - 2s)/6
     s = SPoly.s()
-    assert Series.log1p_over(s, 6)[3] == s * s / 3
-    x = z - Fraction(5, 2) * z * z
-    assert x.expm1_over(0) == x
-    a = Fraction(3, 4)
-    assert a * x.expm1_over(a) + 1 == (a * x).exp()
+    b = Series.binomial(s, 1, 3)
+    assert b[2] == (1 - s) / 2
+    assert b[3] == (1 - s) * (1 - 2 * s) / 6
+
+
+@given(series_st)
+@settings(max_examples=20)
+def test_integral_inverts_deriv(f):
+    g = f.integral()
+    assert g.order == f.order + 1 and g[0] == 0
+    assert g.deriv() == f
 
 
 def test_json_round_trip():

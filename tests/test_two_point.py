@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bosonorder.hsu_shiue import HSParams, hs_pair
-from bosonorder.riordan import (BivariateEGF, _apply_dseries, as_riordan,
-                                raising_series)
+from bosonorder.riordan import (SHEFFER, BivariateEGF, RiordanPair,
+                                _apply_dseries, as_riordan, raising_series)
 from bosonorder.scalars import SPoly
 from bosonorder.series import Series
 from bosonorder.two_point import (TwoPointParams, closed_form_e1,
@@ -18,6 +18,43 @@ S = SPoly.s()
 
 param_st = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 nonzero_st = param_st.filter(lambda q: q != 0)
+
+
+def _log1p_over(c, N: int) -> Series:
+    """L_c = log(1 + c z)/c = sum_{n>=1} (-c)^(n-1) z^n/n for c in Q[s]; it
+    is z at c = 0, and nothing is divided by c."""
+    step = -c
+    out = [0]
+    power = SPoly.const(1)
+    for n in range(1, N + 1):
+        out.append(power / n)
+        power = power * step
+    return Series(out, N)
+
+
+def _expm1_over(x: Series, a) -> Series:
+    """E_a(x) = (e^(a x) - 1)/a for rational a; x itself at a = 0."""
+    return x if a == 0 else ((a * x).exp() - 1) / a
+
+
+def _hs_pair_exp_log(p: HSParams, N: int) -> RiordanPair:
+    """The Hsu-Shiue pair as exponentials and logarithms: d = exp(r L_A),
+    h = E_B(L_A)."""
+    la = _log1p_over(p.A, N)
+    return RiordanPair((p.r * la).exp(), _expm1_over(la, p.B))
+
+
+def _two_point_pair_exp_log(p: TwoPointParams, N: int) -> RiordanPair:
+    """The two-point pair as exponentials and logarithms: with
+    w+- = (1+-s)/2, X = w+ L_(-w+ B), Y = -w- L_(w- B) and Lambda = X - Y,
+    g = w+ e^(-r Lambda) + w- e^(-r' Lambda) and f = E_A(X) - E_A(Y)."""
+    wp = (1 + p.s) / 2
+    wm = (1 - p.s) / 2
+    x = wp * _log1p_over(-wp * p.B, N)
+    y = -wm * _log1p_over(wm * p.B, N)
+    lam = x - y
+    g = wp * (-p.r * lam).exp() + wm * (-p.rp * lam).exp()
+    return RiordanPair(g, _expm1_over(x, p.A) - _expm1_over(y, p.A), SHEFFER)
 
 
 def test_params_coercion():
@@ -90,6 +127,31 @@ s_point_st = st.one_of(st.just(S), st.sampled_from([-1, 0, 1]),
 def test_raising_operator_rows_match_group_inversion(a, b, r, rp, s, N):
     p = TwoPointParams(a, b, r, rp, s)
     assert _raising_egf(p, N) == two_point_egf(p, N)
+
+
+zero_or_param_st = st.one_of(st.just(Fraction(0)), param_st)
+
+
+@given(zero_or_param_st, zero_or_param_st, param_st, st.integers(0, 8))
+@example(0, 0, 2, 6)
+@example(0, Fraction(3, 2), -1, 6)
+@example(Fraction(-1, 2), 0, 1, 6)
+@settings(max_examples=40, deadline=None)
+def test_hs_pair_matches_exp_log_oracle(a, b, r, N):
+    p = HSParams(a, b, r)
+    assert hs_pair(p, N) == _hs_pair_exp_log(p, N)
+
+
+@given(zero_or_param_st, zero_or_param_st, param_st, param_st, s_point_st,
+       st.integers(0, 8))
+@example(0, 0, 1, 2, S, 6)
+@example(0, 1, -2, 1, S, 8)
+@example(2, 0, 1, -3, Fraction(1, 3), 8)
+@example(2, 1, -2, 1, 1, 6)
+@settings(max_examples=40, deadline=None)
+def test_two_point_pair_matches_exp_log_oracle(a, b, r, rp, s, N):
+    p = TwoPointParams(a, b, r, rp, s)
+    assert two_point_pair(p, N) == _two_point_pair_exp_log(p, N)
 
 
 def test_interpolation_in_s_row_one():
