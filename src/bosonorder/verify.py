@@ -1,17 +1,26 @@
 """Exact verification suites for every headline identity in the package.
 
-Each suite function returns a plain dict
+A suite is a generator registered in :data:`SUITES` under its name.  It
+takes a ``random.Random`` seeded for that suite alone and yields one
+``(params, residuals)`` pair per case: ``params`` is a JSON-ready dict that
+names the case, and ``residuals`` an iterable of strings, "0" for each check
+that holds and otherwise a pointer at the discrepancy (key, got, expected).
+:func:`run_suite` is the one place that seeds the RNG, takes each
+case's first residual that is not "0" and builds the report
 
     {"suite": <name>, "cases": [{"params": {...},
                                  "status": "pass" | "fail",
                                  "residual": "0" | <where it broke>}, ...]}
 
-ready for JSON dumping.  A suite passes iff every case does.  All checks are
-exact -- rational or polynomial-in-s arithmetic throughout -- so "residual"
-is literally the string "0" on success, and on failure a pointer at the
-first discrepancy (key, got, expected).  Randomized suites draw all inputs
-from random.Random(seed); the same seed reproduces the same report byte for
-byte.
+ready for JSON dumping.  Residuals are iterated lazily, so nothing after a
+case's first failure is computed.  A suite passes iff every case does.  All
+checks are exact -- rational or polynomial-in-s arithmetic throughout -- so
+"residual" is literally the string "0" on success.  Every suite draws from
+its own ``random.Random(seed)``: the same seed reproduces the same report
+byte for byte, whichever suites run before it.
+
+>>> run_suite("katriel")["cases"][0]
+{'params': {'word': 'ad a', 'n': 0}, 'status': 'pass', 'residual': '0'}
 """
 
 from __future__ import annotations
@@ -42,20 +51,8 @@ SYMBOLIC = SPoly.s()
 
 
 # ---------------------------------------------------------------------------
-# Report plumbing.
+# Residuals.
 # ---------------------------------------------------------------------------
-
-def _check(params: dict, residual: str) -> dict:
-    return {"params": params,
-            "status": "pass" if residual == "0" else "fail",
-            "residual": residual}
-
-
-def _first(residuals) -> str:
-    """The first residual that is not "0", else "0".  ``residuals`` is
-    iterated lazily, so nothing after the first failure is computed."""
-    return next((r for r in residuals if r != "0"), "0")
-
 
 def _diff(where: str, got, want) -> str:
     """"0" when got == want, else a pointer "<where>: <got> != <want>"."""
@@ -100,42 +97,51 @@ def _rand_nonzero(rng, lo: int = -6, hi: int = 6) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# The suites.
+# The suites, registered in report order.
 # ---------------------------------------------------------------------------
 
-def suite_main_theorem(seed: int = 0) -> dict:
+#: Suite name -> generator of (params, residuals), in report order.
+SUITES: dict = {}
+
+
+def _suite(name: str):
+    """Register the decorated generator in :data:`SUITES` as ``name``."""
+    def register(fn):
+        SUITES[name] = fn
+        return fn
+    return register
+
+
+@_suite("main-theorem")
+def suite_main_theorem(rng):
     """exp(lambda ad^L a ad^R) == :two-point EGF:_s for every word with
     1 <= L + R <= 4, at fully symbolic s: quantizing the s-ordered symbol
     series must reproduce the brute-force rewriting oracle exactly."""
     lam_order = 6
-    cases = []
     for total in range(1, 5):
         for L in range(total + 1):
             w = SingleAnnihilatorWord(L, total - L)
             got = s_ordered_symbol(w, SYMBOLIC, lam_order).quantize()
             want = oracle_exponential(w, lam_order)
-            cases.append(_check({"L": w.L, "R": w.R, "s": "symbolic",
-                                 "lambda_order": lam_order},
-                                _first(_lambda_tables(got, want))))
-    return {"suite": "main-theorem", "cases": cases}
+            yield ({"L": w.L, "R": w.R, "s": "symbolic",
+                    "lambda_order": lam_order}, _lambda_tables(got, want))
 
 
-def suite_cahill_glauber(seed: int = 0) -> dict:
+@_suite("cahill-glauber")
+def suite_cahill_glauber(rng):
     """The closed s-ordered form of exp(lambda ad a), prefactor times
     Gaussian in x* x, against both the two-point route and the oracle."""
     lam_order = 8
     w = SingleAnnihilatorWord(1, 0)
     closed = exp_number_closed_form(SYMBOLIC, lam_order)
     direct = s_ordered_symbol(w, SYMBOLIC, lam_order)
-    res = _first(_lambda_tables(closed.terms, direct.terms))
-    cases = [_check({"check": "closed form vs two-point EGF", "s": "symbolic",
-                     "lambda_order": lam_order}, res)]
+    yield ({"check": "closed form vs two-point EGF", "s": "symbolic",
+            "lambda_order": lam_order},
+           _lambda_tables(closed.terms, direct.terms))
     got = closed.quantize()
     want = oracle_exponential(w, lam_order)
-    cases.append(_check({"check": "quantized vs rewriting oracle",
-                         "s": "symbolic", "lambda_order": lam_order},
-                        _first(_lambda_tables(got, want))))
-    return {"suite": "cahill-glauber", "cases": cases}
+    yield ({"check": "quantized vs rewriting oracle", "s": "symbolic",
+            "lambda_order": lam_order}, _lambda_tables(got, want))
 
 
 def _stirling2(rows: int) -> list:
@@ -151,65 +157,53 @@ def _stirling2(rows: int) -> list:
     return table
 
 
-def suite_katriel(seed: int = 0) -> dict:
+@_suite("katriel")
+def suite_katriel(rng):
     """(ad a)^n = sum_k S(n,k) ad^k a^k and (a ad)^n = sum_k S(n+1,k+1)
     ad^k a^k, n <= 10, against brute-force rewriting and against Stirling
     numbers recomputed here from scratch."""
     nmax = 10
     stirling = _stirling2(nmax + 1)
-    ada = SingleAnnihilatorWord(1, 0)
-    aad = SingleAnnihilatorWord(0, 1)
-    cases = []
+    # (label, word, shift): the word's n-th power has S(n+shift, k+shift)
+    words = (("ad a", SingleAnnihilatorWord(1, 0), 0),
+             ("a ad", SingleAnnihilatorWord(0, 1), 1))
     for n in range(nmax + 1):
-        got = power_normal_form(ada, n)
-        brute = normal_order(ada.word().power(n))
-        ref = NormalForm(((k, k), stirling[n][k]) for k in range(n + 1))
-        cases.append(_check({"word": "ad a", "n": n},
-                            _first(chain(_tables(got, brute),
-                                         _tables(got, ref)))))
-        got = power_normal_form(aad, n)
-        brute = normal_order(aad.word().power(n))
-        ref = NormalForm(((k, k), stirling[n + 1][k + 1])
-                         for k in range(n + 1))
-        cases.append(_check({"word": "a ad", "n": n},
-                            _first(chain(_tables(got, brute),
-                                         _tables(got, ref)))))
-    return {"suite": "katriel", "cases": cases}
+        for label, w, shift in words:
+            got = power_normal_form(w, n)
+            brute = normal_order(w.word().power(n))
+            ref = NormalForm(((k, k), stirling[n + shift][k + shift])
+                             for k in range(n + 1))
+            yield ({"word": label, "n": n},
+                   chain(_tables(got, brute), _tables(got, ref)))
 
 
-def suite_laguerre(seed: int = 0) -> dict:
+@_suite("laguerre")
+def suite_laguerre(rng):
     """(ad a ad)^n in both orderings, n <= 8: the closed Laguerre
     coefficients n!^2/(k!^2 (n-k)!) and the triangle route must both match
     the rewriting oracle, normal and anti-normal alike."""
     w = SingleAnnihilatorWord(1, 1)
-    cases = []
     for n in range(9):
         brute_n = normal_order(w.word().power(n))
         brute_a = anti_normal_order(w.word().power(n))
-        res = _first(chain(
+        yield {"n": n}, chain(
             _tables(laguerre_power(n, "normal"), brute_n, "normal "),
             _tables(power_normal_form(w, n, "normal"), brute_n, "normal "),
             _tables(laguerre_power(n, "antinormal"), brute_a, "anti "),
-            _tables(power_normal_form(w, n, "antinormal"), brute_a, "anti ")))
-        cases.append(_check({"n": n}, res))
-    return {"suite": "laguerre", "cases": cases}
+            _tables(power_normal_form(w, n, "antinormal"), brute_a, "anti "))
 
 
-def suite_hsu_shiue(seed: int = 0) -> dict:
+@_suite("hsu-shiue")
+def suite_hsu_shiue(rng):
     """Random (A, B, r), B != 0: the defining double sum, the triangle
     recurrence and the EGF expansion must agree entry by entry (n <= 10);
     the group inverse must realize the (B, A, -r) duality; and the EGF must
     annihilate the characterizing PDE through order 9."""
     nmax = 10
-    rng = random.Random(seed)
-    cases = []
     for _ in range(50):
         p = HSParams(_rand_frac(rng), _rand_nonzero(rng), _rand_frac(rng))
-        cases.append(_check({"A": format_rational(p.A),
-                             "B": format_rational(p.B),
-                             "r": format_rational(p.r)},
-                            _first(_hs_residuals(p, nmax))))
-    return {"suite": "hsu-shiue", "cases": cases}
+        yield ({"A": format_rational(p.A), "B": format_rational(p.B),
+                "r": format_rational(p.r)}, _hs_residuals(p, nmax))
 
 
 def _hs_residuals(p: HSParams, nmax: int):
@@ -223,10 +217,11 @@ def _hs_residuals(p: HSParams, nmax: int):
     for n, k in cells:
         yield _diff(f"egf ({n},{k})", egf_tri.entry(n, k), tri.entry(n, k))
     yield from _pairs(group_inverse(hs_pair(p, nmax)), hs_pair(p.dual(), nmax))
-    yield "0" if hs_pde_residual(p, 10).is_zero() else "pde residual != 0"
+    yield "0" if hs_pde_residual(p, nmax).is_zero() else "pde residual != 0"
 
 
-def suite_two_point_reduction(seed: int = 0) -> dict:
+@_suite("two-point-reduction")
+def suite_two_point_reduction(rng):
     """At the endpoints the two-point family collapses to one-point arrays:
     T(A,B,r,r'; -1) = HS(-A,B,r') and T(A,B,r,r'; +1) = HS(A,-B,r), checked
     as equality of the generating pairs, whose coefficients are generalized
@@ -234,8 +229,6 @@ def suite_two_point_reduction(seed: int = 0) -> dict:
     where the factorials degenerate to powers (exponentials and logarithms);
     the rest are generic."""
     order = 8
-    rng = random.Random(seed)
-    cases = []
     for i in range(25):
         A = Fraction(0) if i in (0, 2) else _rand_nonzero(rng)
         B = Fraction(0) if i in (1, 2) else _rand_nonzero(rng)
@@ -244,53 +237,49 @@ def suite_two_point_reduction(seed: int = 0) -> dict:
                                           order))
         plus = as_riordan(two_point_pair(TwoPointParams(A, B, r, rp, 1),
                                          order))
-        res = _first(chain(_pairs(minus, hs_pair(HSParams(-A, B, rp), order)),
-                           _pairs(plus, hs_pair(HSParams(A, -B, r), order))))
-        cases.append(_check({"A": format_rational(A), "B": format_rational(B),
-                             "r": format_rational(r),
-                             "r_prime": format_rational(rp)}, res))
-    return {"suite": "two-point-reduction", "cases": cases}
+        yield ({"A": format_rational(A), "B": format_rational(B),
+                "r": format_rational(r), "r_prime": format_rational(rp)},
+               chain(_pairs(minus, hs_pair(HSParams(-A, B, rp), order)),
+                     _pairs(plus, hs_pair(HSParams(A, -B, r), order))))
 
 
-def suite_e1_closed_forms(seed: int = 0) -> dict:
+@_suite("e1-closed-forms")
+def suite_e1_closed_forms(rng):
     """Excess e = 1: the radical closed forms of [gbar, fbar] against the
     pair obtained by group inversion (reversion), symbolic s throughout."""
     order = 10
-    cases = []
     for L, R in ((2, 0), (1, 1), (0, 2)):
         w = SingleAnnihilatorWord(L, R)
         closed = closed_form_e1(L, R, SYMBOLIC, order)
         inverted = as_riordan(two_point_pair(w.two_point_params(SYMBOLIC),
                                              order))
-        cases.append(_check({"L": L, "R": R, "s": "symbolic", "order": order},
-                            _first(_pairs(closed, inverted))))
-    return {"suite": "e1-closed-forms", "cases": cases}
+        yield ({"L": L, "R": R, "s": "symbolic", "order": order},
+               _pairs(closed, inverted))
 
 
-def suite_e2_quartic(seed: int = 0) -> dict:
+@_suite("e2-quartic")
+def suite_e2_quartic(rng):
     """Excess e = 2: fbar is a root of the degree-4 polynomial constraint
     for all four words, symbolic s and both endpoints; at s = +-1 the two
     leading coefficients vanish so the constraint degenerates to the
     quadratic that the endpoint root still satisfies."""
     order = 8
-    cases = []
     svals = (("symbolic", SYMBOLIC), ("-1", Fraction(-1)), ("1", Fraction(1)))
     for L in range(4):
         R = 3 - L
         for label, s in svals:
             res = quartic_residual(L, R, s, order)
-            cases.append(_check({"L": L, "R": R, "s": label, "order": order},
-                                _first(_series(res, Series.zero(res.order)))))
+            yield ({"L": L, "R": R, "s": label, "order": order},
+                   _series(res, Series.zero(res.order)))
     for label, s in svals[1:]:
         c4, c3 = quartic_leading_coeffs(s)
         ok = c4.is_zero() and c3.is_zero()
-        cases.append(_check({"check": "degenerate leading coefficients",
-                             "s": label},
-                            "0" if ok else f"({c4}, {c3}) != (0, 0)"))
-    return {"suite": "e2-quartic", "cases": cases}
+        yield ({"check": "degenerate leading coefficients", "s": label},
+               ("0" if ok else f"({c4}, {c3}) != (0, 0)",))
 
 
-def suite_weyl_power(seed: int = 0) -> dict:
+@_suite("weyl-power")
+def suite_weyl_power(rng):
     """The Weyl-ordered (ad a ad)^n formula: quantizing the symbol at s = 0
     must reproduce the rewriting oracle (n <= 6), and the interior
     triangle must equal the ordinary Riordan array
@@ -298,31 +287,25 @@ def suite_weyl_power(seed: int = 0) -> dict:
     nmax, triangle_N = 6, 12
     word = Word("cac")
     syms = [weyl_power_aaa(n) for n in range(nmax + 1)]
-    cases = []
     for n, sym in enumerate(syms):
-        got = s_quantize(sym, 0)
-        want = normal_order(word.power(n))
-        cases.append(_check({"n": n, "s": "0"}, _first(_tables(got, want))))
+        yield ({"n": n, "s": "0"},
+               _tables(s_quantize(sym, 0), normal_order(word.power(n))))
 
     z = Series.variable(triangle_N)
     root = (1 + 4 * z * z).pow_rational(Fraction(1, 2))
     tri = ordinary_array_coeffs(root.reciprocal(), (2 * z) / (1 + root),
                                 triangle_N)
-    res = _first(
-        _diff(f"({n},{k})", tri.entry(n, k),
-              Fraction((-1) ** ((n - k) // 2) * binomial(n, (n - k) // 2))
-              if (n - k) % 2 == 0 else Fraction(0))
-        for n in range(triangle_N + 1) for k in range(n + 1))
-    cases.append(_check({"check": "interior triangle is ordinary Riordan",
-                         "N": triangle_N}, res))
+    yield ({"check": "interior triangle is ordinary Riordan", "N": triangle_N},
+           (_diff(f"({n},{k})", tri.entry(n, k),
+                  Fraction((-1) ** ((n - k) // 2) * binomial(n, (n - k) // 2))
+                  if (n - k) % 2 == 0 else Fraction(0))
+            for n in range(triangle_N + 1) for k in range(n + 1)))
 
-    res = _first(_diff(f"n={n} k={k}", sym.coeff(n + k, k),
-                       tri.entry(n, k) * Fraction(1, 2 ** (n - k))
-                       * Fraction(factorial(n), factorial(k)))
-                 for n, sym in enumerate(syms) for k in range(n + 1))
-    cases.append(_check({"check": "symbol coefficients vs triangle",
-                         "nmax": nmax}, res))
-    return {"suite": "weyl-power", "cases": cases}
+    yield ({"check": "symbol coefficients vs triangle", "nmax": nmax},
+           (_diff(f"n={n} k={k}", sym.coeff(n + k, k),
+                  tri.entry(n, k) * Fraction(1, 2 ** (n - k))
+                  * Fraction(factorial(n), factorial(k)))
+            for n, sym in enumerate(syms) for k in range(n + 1)))
 
 
 def _random_symbol(rng, max_exp: int = 4, terms: int = 5) -> ClassicalPoly:
@@ -333,36 +316,32 @@ def _random_symbol(rng, max_exp: int = 4, terms: int = 5) -> ClassicalPoly:
     return ClassicalPoly(tab)
 
 
-def suite_conversion(seed: int = 0) -> dict:
+@_suite("conversion")
+def suite_conversion(rng):
     """The conversion kernel between orderings: round trips are exact,
     conversion laws compose, the symbolic-target family solves the heat
     equation dF/ds = -(1/2) d^2 F/(dx dx*), and at s = 0 the heat
     propagator agrees with brute-force symmetrization (n + m <= 10)."""
-    rng = random.Random(seed)
-    cases = []
     for i in range(10):
         F = _random_symbol(rng)
         s1, s2, s3 = (_rand_frac(rng, -4, 4) for _ in range(3))
         G = convert_order(F, s1, s2)
         H = convert_order(F, s1, SYMBOLIC)
-        res = _first(chain(
+        yield ({"draw": i, "degree": F.total_degree(),
+                "s": [format_rational(s1), format_rational(s2),
+                      format_rational(s3)]}, chain(
             _tables(convert_order(G, s2, s1), F, "round trip "),
             _tables(convert_order(G, s2, s3), convert_order(F, s1, s3),
                     "composition "),
             _tables(H.deriv_s(), H.mixed_second().scale(Fraction(-1, 2)),
                     "heat ")))
-        cases.append(_check({"draw": i, "degree": F.total_degree(),
-                             "s": [format_rational(s1), format_rational(s2),
-                                   format_rational(s3)]}, res))
 
     monomials = [(n, t - n) for t in range(11) for n in range(t + 1)]
-    res = _first(r for n, m in monomials
-                 for r in _tables(weyl_quantize_monomial(n, m),
-                                  s_quantize(ClassicalPoly.monomial(n, m), 0),
-                                  label=f"x*^{n} x^{m}: "))
-    cases.append(_check({"check": "shuffle average vs heat propagator",
-                         "max_degree": 10}, res))
-    return {"suite": "conversion", "cases": cases}
+    yield ({"check": "shuffle average vs heat propagator", "max_degree": 10},
+           (r for n, m in monomials
+            for r in _tables(weyl_quantize_monomial(n, m),
+                             s_quantize(ClassicalPoly.monomial(n, m), 0),
+                             label=f"x*^{n} x^{m}: ")))
 
 
 def _random_pair(rng, order: int) -> RiordanPair:
@@ -372,38 +351,33 @@ def _random_pair(rng, order: int) -> RiordanPair:
     return RiordanPair(d, h)
 
 
-def suite_riordan_group(seed: int = 0) -> dict:
+@_suite("riordan-group")
+def suite_riordan_group(rng):
     """Group axioms on random proper pairs at truncation order 10, then the
     ladder actions P s_n = n s_(n-1), M s_n = s_(n+1) on the four catalog
     Sheffer sequences for n <= 8."""
     order, ladder_nmax = 10, 8
-    rng = random.Random(seed)
     ident = identity_pair(order)
-    cases = []
     for i in range(5):
-        p1 = _random_pair(rng, order)
-        p2 = _random_pair(rng, order)
-        p3 = _random_pair(rng, order)
+        p1, p2, p3 = (_random_pair(rng, order) for _ in range(3))
         inv = group_inverse(p1)
-        res = _first(chain(
+        yield {"draw": i, "order": order}, chain(
             _pairs(group_product(group_product(p1, p2), p3),
                    group_product(p1, group_product(p2, p3))),
             _pairs(group_product(p1, ident), p1),
             _pairs(group_product(ident, p1), p1),
             _pairs(group_product(p1, inv), ident),
-            _pairs(group_product(inv, p1), ident)))
-        cases.append(_check({"draw": i, "order": order}, res))
+            _pairs(group_product(inv, p1), ident))
 
     for name in CATALOG:
-        pair = catalog(name, order)
-        tri = array_coeffs(pair, ladder_nmax + 1)
-        res = _first(_ladder_residuals(pair, tri, ladder_nmax))
-        cases.append(_check({"sequence": name, "nmax": ladder_nmax}, res))
-    return {"suite": "riordan-group", "cases": cases}
+        yield ({"sequence": name, "nmax": ladder_nmax},
+               _ladder_residuals(catalog(name, order), ladder_nmax))
 
 
-def _ladder_residuals(pair: RiordanPair, tri, nmax: int):
-    """P s_n = n s_(n-1) and M s_n = s_(n+1) for the rows of tri, n <= nmax."""
+def _ladder_residuals(pair: RiordanPair, nmax: int):
+    """P s_n = n s_(n-1) and M s_n = s_(n+1) for the Sheffer sequence of
+    pair, n <= nmax."""
+    tri = array_coeffs(pair, nmax + 1)
     for n in range(nmax + 1):
         sn, sn1 = tri.row_poly(n), tri.row_poly(n + 1)
         low = ladder_apply(pair, "lowering", sn1)
@@ -413,49 +387,39 @@ def _ladder_residuals(pair: RiordanPair, tri, nmax: int):
         yield "0" if tuple(up) == _tp_trim(sn1) else f"raising at n={n}"
 
 
-def suite_blasiak(seed: int = 0) -> dict:
+@_suite("blasiak")
+def suite_blasiak(rng):
     """The normally ordered exponential of the Sheffer raising element,
     exp(lambda X) = :g(ad)/g(bbar) exp[(bbar - ad) a]:, coefficient by
     coefficient through ad-degree 6 and lambda-order 6 for each catalog
     pair."""
     nd = nl = 6
-    cases = []
     for name in CATALOG:
-        pair = catalog(name, nd + nl + 1)
-        out = blasiak_identity_check(pair, nd, nl)
-        res = "0" if out["equal"] else f"mismatches at {out['mismatches'][:4]}"
-        cases.append(_check({"pair": name, "ad_order": nd, "lambda_order": nl},
-                            res))
-    return {"suite": "blasiak", "cases": cases}
+        out = blasiak_identity_check(catalog(name, nd + nl + 1), nd, nl)
+        yield ({"pair": name, "ad_order": nd, "lambda_order": nl},
+               ("0" if out["equal"]
+                else f"mismatches at {out['mismatches'][:4]}",))
 
 
 # ---------------------------------------------------------------------------
-# Registry.
+# Reports.
 # ---------------------------------------------------------------------------
-
-SUITES = {
-    "main-theorem": suite_main_theorem,
-    "cahill-glauber": suite_cahill_glauber,
-    "katriel": suite_katriel,
-    "laguerre": suite_laguerre,
-    "hsu-shiue": suite_hsu_shiue,
-    "two-point-reduction": suite_two_point_reduction,
-    "e1-closed-forms": suite_e1_closed_forms,
-    "e2-quartic": suite_e2_quartic,
-    "weyl-power": suite_weyl_power,
-    "conversion": suite_conversion,
-    "riordan-group": suite_riordan_group,
-    "blasiak": suite_blasiak,
-}
-
 
 def run_suite(name: str, seed: int = 0) -> dict:
+    """The report of suite ``name``, its inputs drawn from a fresh
+    ``random.Random(seed)``."""
     try:
-        fn = SUITES[name]
+        suite = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose one of "
                          f"{', '.join(SUITES)}") from None
-    return fn(seed=seed)
+    cases = []
+    for params, residuals in suite(random.Random(seed)):
+        residual = next((r for r in residuals if r != "0"), "0")
+        cases.append({"params": params,
+                      "status": "pass" if residual == "0" else "fail",
+                      "residual": residual})
+    return {"suite": name, "cases": cases}
 
 
 def suite_passed(report: dict) -> bool:

@@ -11,7 +11,7 @@ import pytest
 
 from bosonorder import verify
 from bosonorder.ordering import SymbolSeries
-from bosonorder.riordan import BivariateEGF, RiordanPair, Triangle
+from bosonorder.riordan import BivariateEGF, RiordanPair, Triangle, catalog
 from bosonorder.series import Series
 from bosonorder.weyl import ClassicalPoly, NormalForm
 
@@ -136,6 +136,22 @@ def _laguerre_power(orig):
     return fault
 
 
+def _blasiak_identity_check(orig):
+    def fault(p, nd, nl):
+        out = orig(p, nd, nl)
+        if p == catalog("hermite", p.first.order):
+            out = {"equal": False, "mismatches": [(2, 1), (3, 0)]}
+        return out
+    return fault
+
+
+def _quartic_leading_coeffs(orig):
+    def fault(s):
+        c4, c3 = orig(s)
+        return c4 + 1, c3
+    return fault
+
+
 #: (name patched in verify, fault maker, suite, the first failing cases as
 #: (case index, residual) at seed 0).
 FAULTS = [
@@ -176,6 +192,10 @@ FAULTS = [
       (1, "second z^4: 3/4*s - 7/4*s^3 != 1 + 3/4*s - 7/4*s^3")]),
     ("laguerre_power", _laguerre_power, "laguerre",
      [(3, "anti (0,3): -12 != -6")]),
+    ("blasiak_identity_check", _blasiak_identity_check, "blasiak",
+     [(1, "mismatches at [(2, 1), (3, 0)]")]),
+    ("quartic_leading_coeffs", _quartic_leading_coeffs, "e2-quartic",
+     [(12, "(1, 0) != (0, 0)"), (13, "(1, 0) != (0, 0)")]),
 ]
 
 
@@ -184,3 +204,17 @@ FAULTS = [
 def test_injected_fault_is_reported(monkeypatch, name, make, suite, expected):
     monkeypatch.setattr(verify, name, make(getattr(verify, name)))
     assert _failures(suite) == expected
+
+
+def test_nothing_after_the_first_failure_is_computed(monkeypatch):
+    """A case stops at its first failing residual: with the sum faulted at
+    (3,1), the EGF that the case would check next is never built."""
+    def unreachable(p, N):
+        raise AssertionError("hs_egf ran after the first failure")
+    monkeypatch.setattr(verify, "hs_coeff_sum",
+                        _hs_coeff_sum(verify.hs_coeff_sum))
+    monkeypatch.setattr(verify, "hs_egf", unreachable)
+    cases = verify.run_suite("hsu-shiue", 0)["cases"]
+    assert len(cases) == 50
+    assert all(c["status"] == "fail" for c in cases)
+    assert cases[0]["residual"] == "sum (3,1): 13/3 != 16/3"
