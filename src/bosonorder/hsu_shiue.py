@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .scalars import binomial, falling
+from .scalars import binomial, falling_row
 from .riordan import BivariateEGF, RiordanPair, Triangle, pair_to_egf
 from .series import Series
 
@@ -64,10 +64,19 @@ def hs_pair(p: HSParams, N: int) -> RiordanPair:
     return RiordanPair(Series.binomial(p.A, p.r, N), h)
 
 
-def hs_coeff_sum(p: HSParams, n: int, k: int) -> Fraction:
+def hs_falling_table(p: HSParams, n: int, k: int) -> list:
+    """table[j][m] = (B j + r | A)_m for j <= k and m <= n: every strided
+    falling factorial that the summation formula reads through cell (n, k)."""
+    return [falling_row(p.B * j + p.r, n, p.A) for j in range(k + 1)]
+
+
+def hs_coeff_sum(p: HSParams, n: int, k: int, table=None) -> Fraction:
     """HS_{n,k} by the finite summation formula (requires B != 0):
 
         (1/(B^k k!)) sum_{j=0}^{k} (-1)^(k-j) C(k,j) (B j + r | A)_n
+
+    read from ``table``, a :func:`hs_falling_table` through at least (n, k)
+    that a whole triangle can share; without one, it is built for this cell.
     """
     if p.B == 0:
         raise ValueError("summation formula requires B != 0")
@@ -75,9 +84,11 @@ def hs_coeff_sum(p: HSParams, n: int, k: int) -> Fraction:
         raise ValueError("indices must be nonnegative")
     if k > n:
         return Fraction(0)
+    if table is None:
+        table = hs_falling_table(p, n, k)
     acc = Fraction(0)
     for j in range(k + 1):
-        term = binomial(k, j) * falling(p.B * j + p.r, n, p.A)
+        term = binomial(k, j) * table[j][n]
         acc += term if (k - j) % 2 == 0 else -term
     return acc / (p.B ** k * factorial(k))
 

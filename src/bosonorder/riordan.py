@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .scalars import SPoly, as_spoly
+from .scalars import SPoly, as_spoly, dot
 from .series import Series
 
 RIORDAN = "riordan"
@@ -270,18 +270,15 @@ def ordinary_array_coeffs(d: Series, h: Series, N: int) -> Triangle:
 # ---------------------------------------------------------------------------
 
 def _apply_dseries(op: Series, poly: list) -> list:
-    """Apply a D = d/dt series of order >= deg(poly) to a t-polynomial, exactly."""
-    out = [SPoly() for _ in poly] or [SPoly()]
-    cur = list(poly)
-    k = 0
+    """Apply a D = d/dt series of order >= deg(poly) to a t-polynomial, exactly:
+    entry i is the sum over k of op_k times entry i of D^k poly."""
+    derivs, cur = [], list(poly)
     while cur:
-        c = op[k]
-        if not c.is_zero():
-            for i, a in enumerate(cur):
-                out[i] = out[i] + c * a
+        derivs.append(cur)
         cur = [i * cur[i] for i in range(1, len(cur))]
-        k += 1
-    return out
+    ops = [op[k] for k in range(len(derivs))]
+    return [dot(ops, [dk[i] for dk in derivs[:len(derivs) - i]])
+            for i in range(len(derivs))] or [SPoly()]
 
 
 def raising_series(p: RiordanPair, order: int) -> tuple:

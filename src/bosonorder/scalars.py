@@ -22,7 +22,10 @@ common-denominator method of Knuth, TAOCP Vol. 2, section 4.5.1:
 - a/da + b/db = (a*fa + b*fb) / (da*fa) with g = gcd(da, db), fa = db/g and
   fb = da/g; a common factor of the sum divides g, so only g is searched;
 - (a/da)(b/db) first cancels gcd(content(a), db) and gcd(da, content(b)),
-  then convolves the integer lists; by Gauss's lemma no factor is left.
+  then convolves the integer lists; by Gauss's lemma no factor is left;
+- a sum of products, :func:`dot`, adds each convolution into one integer
+  accumulator over a running common denominator and removes the content
+  once, at the end: one reduction per sum, not one per term.
 
 The gcd searches are loops that stop as soon as they reach 1, and no
 Fraction is built per coefficient.  The lowest-terms ``Fraction``
@@ -99,11 +102,17 @@ def falling(x, n: int, stride) -> Fraction:
     The n = 0 product is 1.  With stride 1 this is the ordinary falling
     factorial; with stride 0 it is x**n.
     """
+    return falling_row(x, n, stride)[n]
+
+
+def falling_row(x, n: int, stride) -> list:
+    """The strided falling factorials of x of lengths 0 .. n, one product
+    step each: (x | h)_(m+1) = (x | h)_m (x - m h)."""
     x = Fraction(x)
     h = Fraction(stride)
-    out = Fraction(1)
+    out = [Fraction(1)]
     for i in range(n):
-        out *= x - i * h
+        out.append(out[i] * (x - i * h))
     return out
 
 
@@ -258,17 +267,8 @@ class SPoly:
         if gb != 1:
             b = [y // gb for y in b]
             da //= gb
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) == 1:
-            c = b[0]
-            out = [x * c for x in a]
-        else:
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b, i):
-                        out[j] += x * y
+        out = [0] * (len(a) + len(b) - 1)
+        _mac(out, a, b)
         return _canonical(out, da * db, 1)
 
     __rmul__ = __mul__
@@ -384,6 +384,52 @@ def _gcd_into(g: int, num: list) -> int:
             break
         g = gcd(g, n)
     return g
+
+
+def _mac(acc: list, a: list, b: list) -> None:
+    """acc += a*b on integer lists by schoolbook convolution, a scalar
+    multiply when one side has one entry; acc must be long enough."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        c = b[0]
+        for i, x in enumerate(a):
+            acc[i] += x * c
+    else:
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    acc[j] += x * y
+
+
+def dot(xs, ys) -> SPoly:
+    """The sum of x*y over paired SPolys, reduced once: each product of
+    numerators is added into one integer accumulator over a running common
+    denominator D (a product over d first brings D to lcm(D, d)), and the
+    content is removed at the end, giving the canonical SPoly of the sum.
+
+    >>> print(dot([SPoly((1, 1)), SPoly.const(Fraction(1, 2))],
+    ...           [SPoly((0, 1)), SPoly.const(Fraction(2, 3))]))
+    1/3 + s + s^2
+    """
+    acc, D = [], 1
+    for x, y in zip(xs, ys):
+        a, b = x._num, y._num
+        if not a or not b:
+            continue
+        d = x._den * y._den
+        if d != D:
+            g = gcd(D, d)
+            if g != d:
+                f = d // g
+                acc = [n * f for n in acc]
+                D *= f
+            if D != d:
+                f = D // d
+                a = [n * f for n in a]
+        acc += [0] * (len(a) + len(b) - 1 - len(acc))
+        _mac(acc, a, b)
+    return _canonical(acc, D, D)
 
 
 def _canonical(num: list, den: int, g: int) -> SPoly:

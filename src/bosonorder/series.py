@@ -10,7 +10,9 @@ compositional reversion, exp/log, rational powers f^q = exp(q log f) for
 series with constant term 1, and the binomial series (1 + c z)^(a/c), whose
 coefficients are generalized factorials.  At truncation order N each costs
 O(N^2) coefficient operations or fewer, except composition and reversion,
-which cost O(N^3).
+which cost O(N^3).  Every coefficient of a product, a reciprocal, exp and
+log is one multiply-accumulate, :func:`~bosonorder.scalars.dot`, which
+reduces it to lowest terms once, not once per term.
 Composition is Horner's rule with truncated steps: the partial sum that has
 just taken f_k is later multiplied by inner^k, so it is carried only to order
 N - k.  Reversion is Lagrange inversion, g_n = (1/n) [z^(n-1)] (z/f)^n
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import SPoly, as_spoly, format_power, format_terms
+from .scalars import SPoly, as_spoly, dot, format_power, format_terms
 
 
 class Series:
@@ -144,16 +146,8 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.order, other.order)
-        out = [SPoly() for _ in range(n + 1)]
-        for i in range(n + 1):
-            a = self.coeffs[i]
-            if a.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return Series(out, n)
+        a, b = self.coeffs, other.coeffs
+        return Series([dot(a[:k + 1], b[k::-1]) for k in range(n + 1)], n)
 
     __rmul__ = __mul__
 
@@ -179,12 +173,7 @@ class Series:
         inv0 = 1 / a0.as_rational()
         out = [SPoly.const(inv0)]
         for n in range(1, self.order + 1):
-            acc = SPoly()
-            for k in range(1, n + 1):
-                ak = self.coeffs[k]
-                if not ak.is_zero():
-                    acc = acc + ak * out[n - k]
-            out.append(-inv0 * acc)
+            out.append(-inv0 * dot(self.coeffs[1:n + 1], out[::-1]))
         return Series(out, self.order)
 
     def __truediv__(self, other):
@@ -267,26 +256,21 @@ class Series:
         """exp(f) for f with zero constant term."""
         if not self.coeffs[0].is_zero():
             raise ValueError("exp requires zero constant term")
+        ku = [k * u for k, u in enumerate(self.coeffs)]
         out = [SPoly.const(1)]
         for n in range(1, self.order + 1):
-            acc = SPoly()
-            for k in range(1, n + 1):
-                uk = self.coeffs[k]
-                if not uk.is_zero():
-                    acc = acc + (k * uk) * out[n - k]
-            out.append(acc / n)
+            out.append(dot(ku[1:n + 1], out[::-1]) / n)
         return Series(out, self.order)
 
     def log(self) -> "Series":
         """log(f) for f with constant term exactly 1."""
         if self.coeffs[0] != 1:
             raise ValueError("log requires constant term 1")
-        out = [SPoly()]
+        f = self.coeffs
+        out, kout = [SPoly()], [SPoly()]
         for n in range(1, self.order + 1):
-            acc = SPoly()
-            for k in range(1, n):
-                acc = acc + (k * out[k]) * self.coeffs[n - k]
-            out.append(self.coeffs[n] - acc / n)
+            out.append(f[n] - dot(kout[1:], f[n - 1:0:-1]) / n)
+            kout.append(n * out[n])
         return Series(out, self.order)
 
     def pow_rational(self, q) -> "Series":

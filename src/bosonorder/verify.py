@@ -38,8 +38,8 @@ from .weyl import (ClassicalPoly, NormalForm, Word, anti_normal_order,
 from .riordan import (CATALOG, RiordanPair, _tp_trim, array_coeffs,
                       as_riordan, catalog, group_inverse, group_product,
                       identity_pair, ladder_apply, ordinary_array_coeffs)
-from .hsu_shiue import (HSParams, hs_coeff_sum, hs_egf, hs_pair,
-                        hs_pde_residual, hs_triangle_rec)
+from .hsu_shiue import (HSParams, hs_coeff_sum, hs_egf, hs_falling_table,
+                        hs_pair, hs_pde_residual, hs_triangle_rec)
 from .two_point import (TwoPointParams, closed_form_e1, quartic_leading_coeffs,
                         quartic_residual, two_point_pair)
 from .ordering import (SingleAnnihilatorWord, blasiak_identity_check,
@@ -210,9 +210,11 @@ def _hs_residuals(p: HSParams, nmax: int):
     """The hsu-shiue checks of one parameter triple, in report order; the
     EGF, the duality and the PDE are computed only if reached."""
     tri = hs_triangle_rec(p, nmax)
+    table = hs_falling_table(p, nmax, nmax)
     cells = [(n, k) for n in range(nmax + 1) for k in range(n + 1)]
     for n, k in cells:
-        yield _diff(f"sum ({n},{k})", tri.entry(n, k), hs_coeff_sum(p, n, k))
+        yield _diff(f"sum ({n},{k})", tri.entry(n, k),
+                    hs_coeff_sum(p, n, k, table))
     egf_tri = hs_egf(p, nmax).to_triangle()
     for n, k in cells:
         yield _diff(f"egf ({n},{k})", egf_tri.entry(n, k), tri.entry(n, k))

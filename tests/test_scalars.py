@@ -4,9 +4,9 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from bosonorder.scalars import (SPoly, as_s, as_spoly, binomial, falling,
+from bosonorder.scalars import (SPoly, as_s, as_spoly, binomial, dot, falling,
                                 format_rational, parse_rational)
 
 S = SPoly.s()
@@ -222,6 +222,38 @@ def test_results_are_canonical(pair, q, pad):
         assert again == got and hash(again) == hash(got)
         if got.degree <= 0:
             assert hash(got) == hash(got.as_rational())
+
+
+# -- the multiply-accumulate kernel against the reference products ----------
+
+@st.composite
+def dot_terms(draw):
+    """Paired SPolys of mixed degrees over unrelated denominators, with zero
+    entries among them; half the time every term is followed by its
+    negative, so that the whole sum cancels to zero."""
+    entry = st.one_of(st.just(SPoly()), coeff_lists_st.map(SPoly))
+    pairs = draw(st.lists(st.tuples(entry, entry), max_size=6))
+    if draw(st.booleans()):
+        pairs = [t for x, y in pairs for t in ((x, y), (y, -x))]
+    return [x for x, _ in pairs], [y for _, y in pairs]
+
+
+@given(dot_terms())
+@example(([], []))
+@example(([SPoly(), S], [S, SPoly()]))
+@example(([1 + S, SPoly.const(Fraction(1, 2))],
+          [SPoly.const(Fraction(-1, 3)), S * S / 5]))
+@example(([S / 2, S / 3], [S, -S * Fraction(3, 2)]))
+def test_dot_is_the_canonical_sum_of_the_products(terms):
+    xs, ys = terms
+    want = ()
+    for x, y in zip(xs, ys):
+        want = reference_add(SPoly(want), SPoly(reference_mul(x, y)))
+    got = dot(xs, ys)
+    assert_canonical(got)
+    assert got.coeffs == want
+    if not want:
+        assert (got._num, got._den) == ([], 1)
 
 
 def test_zero_is_stored_one_way():

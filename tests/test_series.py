@@ -180,6 +180,49 @@ def test_truncated_horner_matches_full_order_horner(case):
     assert f.compose(inner) == _compose_full_order(f, inner)
 
 
+def _mul_by_terms(f: Series, g: Series) -> Series:
+    """The Cauchy product as a chain of SPoly ``+`` and ``*``, one per term."""
+    n = min(f.order, g.order)
+    out = [SPoly() for _ in range(n + 1)]
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] = out[i + j] + f[i] * g[j]
+    return Series(out, n)
+
+
+def _reciprocal_by_terms(f: Series) -> Series:
+    """1/f by the triangular solve, one SPoly ``+`` and ``*`` per term."""
+    inv0 = 1 / f[0].as_rational()
+    out = [SPoly.const(inv0)]
+    for n in range(1, f.order + 1):
+        acc = SPoly()
+        for k in range(1, n + 1):
+            acc = acc + f[k] * out[n - k]
+        out.append(-inv0 * acc)
+    return Series(out, f.order)
+
+
+gappy_series_st = st.integers(0, N).flatmap(
+    lambda order: st.lists(gappy_st, max_size=order + 1).map(
+        lambda cs: Series(cs, order)))
+
+
+@settings(deadline=None)
+@given(gappy_series_st, gappy_series_st)
+@example(Series([SPoly.s()], 0), Series([3], 0))
+@example(Series([], 0), Series([1, 2], 1))
+def test_product_matches_the_term_by_term_chain(f, g):
+    assert f * g == _mul_by_terms(f, g)
+
+
+@settings(deadline=None)
+@given(linear_st, gappy_series_st)
+@example(Fraction(-2, 3), Series([0], 0))
+def test_reciprocal_matches_the_term_by_term_solve(c, f):
+    f = Series((c,) + f.coeffs[1:], f.order)
+    assert f.reciprocal() == _reciprocal_by_terms(f)
+
+
 @given(inner_st)
 def test_log_inverts_exp(u):
     assert u.exp().log() == u
