@@ -117,7 +117,8 @@ class Triangle:
     def __post_init__(self):
         if len(self.rows) != self.N + 1:
             raise ValueError("row count must be N+1")
-        self.rows = [[as_spoly(c) for c in row] for row in self.rows]
+        self.rows = [[c if type(c) is SPoly else as_spoly(c) for c in row]
+                     for row in self.rows]
         for n, row in enumerate(self.rows):
             if len(row) != n + 1:
                 raise ValueError(f"row {n} must have {n + 1} entries")
@@ -158,7 +159,8 @@ class BivariateEGF:
         rows = []
         for n in range(order + 1):
             src = zcoeffs[n] if n < len(zcoeffs) else ()
-            rows.append(_tp_trim(as_spoly(c) for c in src))
+            rows.append(_tp_trim(c if type(c) is SPoly else as_spoly(c)
+                                 for c in src))
         object.__setattr__(self, "zcoeffs", tuple(rows))
         object.__setattr__(self, "order", order)
 
@@ -200,16 +202,21 @@ class BivariateEGF:
 
 def _array_rows(d: Series, h: Series, N: int, weights) -> list:
     """rows[n][k] = weights[k] [z^n] d h^k for 0 <= k <= n <= N: the one
-    loop that expands d h^k column by column, for both normalizations."""
+    loop that expands d h^k column by column, for both normalizations.
+
+    With H = h/z, [z^n] d h^k = [z^(n-k)] d H^k, so column k is d H^k
+    carried only at order N - k: each step multiplies at the next lower
+    order and visits none of the k leading zeros of d h^k at order N.
+    """
     acc = d.truncate(N)
-    h = h.truncate(N)
+    H = Series(h.truncate(N).coeffs[1:], N - 1) if N else None
     cols = []
     for k in range(N + 1):
         w = weights[k]
         cols.append(acc.coeffs if w == 1 else [w * c for c in acc.coeffs])
         if k < N:
-            acc = acc * h
-    return [[cols[k][n] for k in range(n + 1)] for n in range(N + 1)]
+            acc = Series(acc.coeffs, N - k - 1) * H
+    return [[cols[k][n - k] for k in range(n + 1)] for n in range(N + 1)]
 
 
 def pair_to_egf(p: RiordanPair, N: int) -> BivariateEGF:
@@ -217,7 +224,7 @@ def pair_to_egf(p: RiordanPair, N: int) -> BivariateEGF:
     p = as_riordan(p)
     if N > p.order:
         raise ValueError(f"truncation order {p.order} insufficient for N={N}")
-    invfact = [Fraction(1, factorial(k)) for k in range(N + 1)]
+    invfact = [SPoly.const(Fraction(1, factorial(k))) for k in range(N + 1)]
     return BivariateEGF(_array_rows(p.first, p.second, N, invfact), N)
 
 

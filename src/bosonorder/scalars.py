@@ -25,7 +25,9 @@ common-denominator method of Knuth, TAOCP Vol. 2, section 4.5.1:
   then convolves the integer lists; by Gauss's lemma no factor is left;
 - a sum of products, :func:`dot`, adds each convolution into one integer
   accumulator over a running common denominator and removes the content
-  once, at the end: one reduction per sum, not one per term.
+  once, at the end: one reduction per sum, not one per term.  A product of
+  two constants (the only kind at numeric s) skips the convolution and is
+  added into the s^0 entry as one integer.
 
 The gcd searches are loops that stop as soon as they reach 1, and no
 Fraction is built per coefficient.  The lowest-terms ``Fraction``
@@ -55,9 +57,12 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(q) -> str:
     """Render a Fraction as "p/q", or "p" when the denominator is 1."""
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return _ratio_text(q.numerator, q.denominator)
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """The reduced ratio n/d (d > 0) as "n/d", or "n" when d is 1."""
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def format_power(sym: str, k: int) -> str:
@@ -267,6 +272,8 @@ class SPoly:
         if gb != 1:
             b = [y // gb for y in b]
             da //= gb
+        if len(a) == 1 == len(b):
+            return _canonical([a[0] * b[0]], da * db, 1)
         out = [0] * (len(a) + len(b) - 1)
         _mac(out, a, b)
         return _canonical(out, da * db, 1)
@@ -364,8 +371,11 @@ class SPoly:
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> list:
-        """List of rational strings, ascending s-power, trimmed."""
-        return [format_rational(c) for c in self.coeffs]
+        """List of rational strings, ascending s-power, trimmed: each
+        numerator over the stored denominator, reduced by one gcd."""
+        den = self._den
+        return [_ratio_text(n // g, den // g)
+                for n in self._num for g in (gcd(n, den),)]
 
     @staticmethod
     def from_json(data) -> "SPoly":
@@ -407,28 +417,40 @@ def dot(xs, ys) -> SPoly:
     numerators is added into one integer accumulator over a running common
     denominator D (a product over d first brings D to lcm(D, d)), and the
     content is removed at the end, giving the canonical SPoly of the sum.
+    A product of two constants is one integer, added into a separate s^0
+    total with no list and no convolution, so a sum over Q never convolves.
 
     >>> print(dot([SPoly((1, 1)), SPoly.const(Fraction(1, 2))],
     ...           [SPoly((0, 1)), SPoly.const(Fraction(2, 3))]))
     1/3 + s + s^2
+    >>> print(dot([SPoly.const(Fraction(1, 2)), SPoly.const(3)],
+    ...           [SPoly.const(Fraction(1, 3)), SPoly.const(Fraction(-1, 4))]))
+    -7/12
     """
-    acc, D = [], 1
+    acc, c0, D = [], 0, 1
     for x, y in zip(xs, ys):
         a, b = x._num, y._num
         if not a or not b:
             continue
         d = x._den * y._den
+        f = 1
         if d != D:
             g = gcd(D, d)
             if g != d:
-                f = d // g
-                acc = [n * f for n in acc]
-                D *= f
-            if D != d:
-                f = D // d
-                a = [n * f for n in a]
+                e = d // g
+                if acc:
+                    acc = [n * e for n in acc]
+                c0 *= e
+                D *= e
+            f = D // d
+        if len(a) == 1 == len(b):
+            c0 += a[0] * b[0] * f
+            continue
+        if f != 1:
+            a = [n * f for n in a]
         acc += [0] * (len(a) + len(b) - 1 - len(acc))
         _mac(acc, a, b)
+    acc[:1] = [acc[0] + c0] if acc else [c0]
     return _canonical(acc, D, D)
 
 

@@ -40,7 +40,7 @@ class Series:
     def __init__(self, coeffs, order: int):
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        cs = [as_spoly(c) for c in coeffs]
+        cs = [c if type(c) is SPoly else as_spoly(c) for c in coeffs]
         if len(cs) > order + 1:
             cs = cs[: order + 1]
         while len(cs) < order + 1:

@@ -12,10 +12,12 @@ from bosonorder.ordering import (SingleAnnihilatorWord, SymbolSeries,
                                  laguerre_power, oracle_exponential,
                                  power_normal_form, power_symbol,
                                  s_ordered_symbol, weyl_power_aaa)
-from bosonorder import riordan
+from bosonorder import riordan, scalars
+from bosonorder.hsu_shiue import HSParams, hs_egf
 from bosonorder.riordan import RiordanPair, as_riordan, catalog
 from bosonorder.scalars import SPoly
 from bosonorder.series import Series
+from bosonorder.two_point import two_point_egf
 from bosonorder.weyl import (ClassicalPoly, NormalForm, anti_normal_order,
                              normal_order, s_quantize)
 
@@ -120,6 +122,33 @@ def test_power_symbol_inverts_nothing(monkeypatch):
     assert power_symbol(w, 7, S) == want
     with pytest.raises(AssertionError):
         s_ordered_symbol(w, S, 7)
+
+
+def _closed_route(w, s):
+    return (s_ordered_symbol(w, s, 8), two_point_egf(w.two_point_params(s), 8),
+            power_symbol(w, 6, s))
+
+
+def test_numeric_s_never_reaches_the_convolution(monkeypatch):
+    # over Q every product is constant by constant: scalars.dot and
+    # SPoly.__mul__ take their degree-0 lane and never call _mac
+    w = SingleAnnihilatorWord(2, 1)
+    hs = HSParams(Fraction(-4, 3), Fraction(5, 2), Fraction(7, 4))
+    numeric = (Fraction(1, 3), -1, 1)
+    want = [_closed_route(w, s) for s in numeric]
+    want_hs = hs_egf(hs, 12)
+
+    def refuse(*args):
+        raise AssertionError("numeric s must not reach the convolution")
+
+    monkeypatch.setattr(scalars, "_mac", refuse)
+    assert [_closed_route(w, s) for s in numeric] == want
+    assert hs_egf(hs, 12) == want_hs
+    for call in (lambda: s_ordered_symbol(w, S, 8),
+                 lambda: two_point_egf(w.two_point_params(S), 8),
+                 lambda: power_symbol(w, 6, S)):
+        with pytest.raises(AssertionError):
+            call()
 
 
 def test_endpoint_symbols_match_oracle():

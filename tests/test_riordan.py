@@ -13,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bosonorder import cli
+from bosonorder.hsu_shiue import HSParams, hs_pair
 from bosonorder.riordan import (CATALOG, BivariateEGF, RiordanPair, Triangle,
-                                array_coeffs, as_riordan, catalog,
+                                _array_rows, array_coeffs, as_riordan, catalog,
                                 group_inverse, group_product, identity_pair,
                                 ladder_apply, ordinary_array_coeffs,
                                 pair_to_egf, sheffer_row)
@@ -244,6 +245,50 @@ def test_sheffer_row_guards():
 def test_catalog_unknown_name():
     with pytest.raises(ValueError):
         catalog("chebyshev", 6)
+
+
+def _array_rows_full(d, h, N, weights):
+    """The column loop at full order: column k is d h^k through z^N, and
+    entry (n, k) is read at z^n."""
+    acc = d.truncate(N)
+    h = h.truncate(N)
+    cols = []
+    for k in range(N + 1):
+        w = weights[k]
+        cols.append(acc.coeffs if w == 1 else [w * c for c in acc.coeffs])
+        if k < N:
+            acc = acc * h
+    return [[cols[k][n] for k in range(n + 1)] for n in range(N + 1)]
+
+
+array_case_st = st.one_of(
+    st.sampled_from(sorted(CATALOG)),
+    st.tuples(coeff_st, coeff_st, coeff_st),
+    st.tuples(coeff_st, coeff_st, coeff_st, coeff_st,
+              st.one_of(st.just(SPoly.s()), coeff_st)))
+
+
+@given(array_case_st, st.integers(0, 12), st.booleans())
+@example("touchard", 0, True)
+@example("abel", 1, False)
+@example((Fraction(-4, 3), Fraction(5, 2), Fraction(7, 4)), 12, True)
+@example((2, 1, -2, 1, SPoly.s()), 12, True)
+@example((2, 1, -2, 1, Fraction(1, 3)), 12, False)
+@example((0, 0, 1, 2, SPoly.s()), 1, True)
+@settings(max_examples=40, deadline=None)
+def test_array_rows_match_the_full_order_column_loop(case, n, exponential):
+    # catalog and two-point pairs are inverted to their arrays; Hsu-Shiue
+    # pairs (A, B, r) are arrays already
+    if isinstance(case, str):
+        pair = as_riordan(catalog(case, n))
+    elif len(case) == 3:
+        pair = hs_pair(HSParams(*case), n)
+    else:
+        pair = as_riordan(two_point_pair(TwoPointParams(*case), n))
+    weights = ([Fraction(1, factorial(k)) for k in range(n + 1)]
+               if exponential else [1] * (n + 1))
+    d, h = pair.first, pair.second
+    assert _array_rows(d, h, n, weights) == _array_rows_full(d, h, n, weights)
 
 
 def test_ordinary_pascal():

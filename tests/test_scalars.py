@@ -226,16 +226,33 @@ def test_results_are_canonical(pair, q, pad):
 
 # -- the multiply-accumulate kernel against the reference products ----------
 
+const_st = wide_fractions_st.map(SPoly.const)
+const_pairs_st = st.lists(st.tuples(const_st, const_st), max_size=4)
+
+
 @st.composite
 def dot_terms(draw):
     """Paired SPolys of mixed degrees over unrelated denominators, with zero
-    entries among them; half the time every term is followed by its
-    negative, so that the whole sum cancels to zero."""
+    entries among them, in one of three modes: any factors; constants only;
+    or constants before and after other factors, so that the running
+    denominator changes after the s^0 total has been filled.  Half the time
+    every term is followed by its negative, so that the whole sum cancels
+    to zero."""
     entry = st.one_of(st.just(SPoly()), coeff_lists_st.map(SPoly))
-    pairs = draw(st.lists(st.tuples(entry, entry), max_size=6))
+    mode = draw(st.sampled_from(("any", "constants", "mixed")))
+    if mode == "constants":
+        pairs = draw(const_pairs_st)
+    else:
+        pairs = draw(st.lists(st.tuples(entry, entry), max_size=6))
+    if mode == "mixed":
+        pairs = draw(const_pairs_st) + pairs + draw(const_pairs_st)
     if draw(st.booleans()):
         pairs = [t for x, y in pairs for t in ((x, y), (y, -x))]
     return [x for x, _ in pairs], [y for _, y in pairs]
+
+
+def _c(n, d=1):
+    return SPoly.const(Fraction(n, d))
 
 
 @given(dot_terms())
@@ -244,6 +261,16 @@ def dot_terms(draw):
 @example(([1 + S, SPoly.const(Fraction(1, 2))],
           [SPoly.const(Fraction(-1, 3)), S * S / 5]))
 @example(([S / 2, S / 3], [S, -S * Fraction(3, 2)]))
+# constants only
+@example(([_c(1, 2), _c(3), _c(-5, 7)], [_c(1, 3), _c(-1, 4), _c(2, 9)]))
+# a constant, then a polynomial
+@example(([_c(2, 3), 1 + S], [_c(1, 5), S / 7]))
+# a polynomial, then a constant over a new denominator
+@example(([1 + S / 4, _c(5, 9)], [1 - S, _c(1, 11)]))
+# constants around a polynomial, each over a new denominator
+@example(([_c(1, 3), S / 7, _c(1, 11)], [_c(1, 2), 1 + S, _c(2, 13)]))
+# constants that cancel to zero
+@example(([_c(1, 2), _c(1, 3)], [_c(2, 3), _c(-1)]))
 def test_dot_is_the_canonical_sum_of_the_products(terms):
     xs, ys = terms
     want = ()
@@ -285,3 +312,22 @@ def test_formatting_over_an_uncancelled_denominator():
     prod = SPoly([Fraction(1, 2), Fraction(1, 3)]) * SPoly([Fraction(1, 5), 1])
     assert str(prod) == "1/10 + 17/30*s + 1/3*s^2"
     assert prod.to_json() == ["1/10", "17/30", "1/3"]
+
+
+json_coeffs_st = st.lists(st.one_of(st.just(Fraction(0)), wide_fractions_st,
+                                    st.integers(-30, 30).map(Fraction)),
+                          max_size=8)
+
+
+@given(json_coeffs_st)
+@example([])
+@example([Fraction(0)])
+@example([Fraction(3, 4), 0, 0, Fraction(-1, 2), 2])
+@example([Fraction(-7), 0, Fraction(12)])
+def test_to_json_formats_each_reduced_coefficient(cs):
+    # one numerator over the stored denominator, reduced per entry, prints
+    # as format_rational prints the lowest-terms coefficient
+    p = SPoly(cs)
+    assert p.to_json() == [format_rational(c) for c in p.coeffs]
+    if p.is_zero():
+        assert p.to_json() == []
