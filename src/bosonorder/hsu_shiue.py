@@ -131,6 +131,6 @@ def hs_pde_residual(p: HSParams, N: int) -> BivariateEGF:
         width = max(len(egf.zcoeffs[n]) + 1, len(egf.zcoeffs[n + 1]))
         rows.append([(p.r - p.A * n + p.B * k) * egf.coeff(n, k)
                      - (n + 1) * egf.coeff(n + 1, k)
-                     + (egf.coeff(n, k - 1) if k else 0)
+                     + egf.coeff(n, k - 1)
                      for k in range(width)])
     return BivariateEGF(rows, N - 1)

@@ -224,8 +224,8 @@ def weyl_power_aaa(n: int) -> ClassicalPoly:
         sum over k = n, n-2, n-4, ... of
         (-1)^((n-k)/2) 2^(k-n) C(n, (n-k)/2) (n!/k!)  x*^n (x* x)^k
 
-    The interior triangle (without the n!/k!) is an ordinary Riordan array;
-    see the weyl-power verification suite.
+    Times 2^(n-k), the coefficients form the exponential Riordan array
+    [1/sqrt(1+4z^2), 2z/(1+sqrt(1+4z^2))]; see the weyl-power suite.
     """
     if n < 0:
         raise ValueError("power must be nonnegative")
@@ -246,16 +246,6 @@ def _lmul(p: list, q: list) -> list:
     """Cauchy product in lambda of two lambda-indexed lists of series."""
     return [sum((p[k] * q[n - k] for k in range(1, n + 1)), p[0] * q[n])
             for n in range(len(p))]
-
-
-def _lrecip(p: list) -> list:
-    """Reciprocal in lambda of a lambda-indexed list of series."""
-    inv0 = p[0].reciprocal()
-    out = [inv0]
-    for n in range(1, len(p)):
-        acc = sum((p[k] * out[n - k] for k in range(2, n + 1)), p[1] * out[n - 1])
-        out.append(-(inv0 * acc))
-    return out
 
 
 def _taylor_shift(F: Series, x: Series, nl: int) -> list:
@@ -307,14 +297,14 @@ def blasiak_identity_check(p: RiordanPair, nd: int, nl: int) -> dict:
             new[m] = new.get(m, 0) + u * F.deriv() - w * F
         states.append(new)
 
-    # Right side: lambda-indexed lists of series in ad.  bbar and g(bbar)
-    # are F(f(ad) + lambda) for F = fbar and F = g o fbar.  The lambda^0
+    # Right side: lambda-indexed lists of series in ad.  bbar and 1/g(bbar)
+    # are F(f(ad) + lambda) for F = fbar and F = 1/(g o fbar).  The lambda^0
     # term of bbar - ad stays fbar(f(ad)) - ad, so a wrong reversion shows.
     fbar = f.revert().truncate(work)
     f_ad = f.truncate(nd)
     bbar = _taylor_shift(fbar, f_ad, nl)
-    g_bbar = _taylor_shift(g.truncate(work).compose(fbar), f_ad, nl)
-    ratio = [g.truncate(nd) * c for c in _lrecip(g_bbar)]
+    recip = _taylor_shift(g.truncate(work).compose(fbar).reciprocal(), f_ad, nl)
+    ratio = [g.truncate(nd) * c for c in recip]
     diff = [bbar[0] - Series.variable(nd)] + bbar[1:]
 
     mismatches = []

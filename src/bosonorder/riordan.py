@@ -17,8 +17,7 @@ exactly when its coefficient array is the exponential Riordan array of the
 group inverse of [g, f].  A :class:`RiordanPair` therefore carries a
 ``convention`` tag saying which of the two descriptions its series are;
 :func:`as_riordan` reaches the array description by one group inversion,
-and the exponential and the ordinary triangles ([z^n] d h^k without the
-n!/k!) are both read off the columns d h^k by one loop.
+and the exponential triangle is read off the columns d h^k by one loop.
 
 Ladder operators: if s_n is Sheffer for [g, f] then
 
@@ -168,9 +167,9 @@ class BivariateEGF:
         raise AttributeError("BivariateEGF is immutable")
 
     def coeff(self, n: int, k: int) -> SPoly:
-        """Coefficient of z^n t^k."""
+        """Coefficient of z^n t^k, zero for k outside the stored row."""
         row = self.zcoeffs[n]
-        return row[k] if k < len(row) else SPoly()
+        return row[k] if 0 <= k < len(row) else SPoly()
 
     def row_poly(self, n: int) -> list:
         """n! times the z^n coefficient: the row polynomial in t."""
@@ -200,32 +199,27 @@ class BivariateEGF:
                 "coeffs": [[c.to_json() for c in row] for row in self.zcoeffs]}
 
 
-def _array_rows(d: Series, h: Series, N: int, weights) -> list:
-    """rows[n][k] = weights[k] [z^n] d h^k for 0 <= k <= n <= N: the one
-    loop that expands d h^k column by column, for both normalizations.
+def pair_to_egf(p: RiordanPair, N: int) -> BivariateEGF:
+    """Expand d(z) exp(t h(z)) through z^N for a pair (any convention).
 
+    Row n holds (1/k!) [z^n] d h^k for k <= n, read off the columns d h^k.
     With H = h/z, [z^n] d h^k = [z^(n-k)] d H^k, so column k is d H^k
     carried only at order N - k: each step multiplies at the next lower
     order and visits none of the k leading zeros of d h^k at order N.
     """
-    acc = d.truncate(N)
-    H = Series(h.truncate(N).coeffs[1:], N - 1) if N else None
-    cols = []
-    for k in range(N + 1):
-        w = weights[k]
-        cols.append(acc.coeffs if w == 1 else [w * c for c in acc.coeffs])
-        if k < N:
-            acc = Series(acc.coeffs, N - k - 1) * H
-    return [[cols[k][n - k] for k in range(n + 1)] for n in range(N + 1)]
-
-
-def pair_to_egf(p: RiordanPair, N: int) -> BivariateEGF:
-    """Expand d(z) exp(t h(z)) through z^N for a pair (any convention)."""
     p = as_riordan(p)
     if N > p.order:
         raise ValueError(f"truncation order {p.order} insufficient for N={N}")
-    invfact = [SPoly.const(Fraction(1, factorial(k))) for k in range(N + 1)]
-    return BivariateEGF(_array_rows(p.first, p.second, N, invfact), N)
+    acc = p.first.truncate(N)
+    H = Series(p.second.truncate(N).coeffs[1:], N - 1) if N else None
+    cols = []
+    for k in range(N + 1):
+        w = SPoly.const(Fraction(1, factorial(k)))
+        cols.append(acc.coeffs if w == 1 else [w * c for c in acc.coeffs])
+        if k < N:
+            acc = Series(acc.coeffs, N - k - 1) * H
+    return BivariateEGF([[cols[k][n - k] for k in range(n + 1)]
+                         for n in range(N + 1)], N)
 
 
 def sheffer_row(p: RiordanPair, n: int) -> list:
@@ -256,20 +250,6 @@ def sheffer_row(p: RiordanPair, n: int) -> list:
 def array_coeffs(p: RiordanPair, N: int) -> Triangle:
     """The coefficient triangle s_{n,k} = (n!/k!) [z^n] d h^k through row N."""
     return pair_to_egf(p, N).to_triangle()
-
-
-def ordinary_array_coeffs(d: Series, h: Series, N: int) -> Triangle:
-    """Ordinary (non-exponential) Riordan triangle t_{n,k} = [z^n] d h^k.
-
-    The one place this package needs the ordinary normalization is the
-    cross-check of the Weyl-ordered power formula, whose interior triangle
-    is an ordinary Riordan array.
-    """
-    if not h[0].is_zero():
-        raise ValueError("h must have zero constant term")
-    if N > min(d.order, h.order):
-        raise ValueError("truncation order insufficient")
-    return Triangle(N, _array_rows(d, h, N, [1] * (N + 1)))
 
 
 # ---------------------------------------------------------------------------

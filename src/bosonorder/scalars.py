@@ -101,18 +101,9 @@ def format_terms(terms) -> str:
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
-def falling(x, n: int, stride) -> Fraction:
-    """Strided falling factorial x(x-h)(x-2h)...(x-(n-1)h) with stride h.
-
-    The n = 0 product is 1.  With stride 1 this is the ordinary falling
-    factorial; with stride 0 it is x**n.
-    """
-    return falling_row(x, n, stride)[n]
-
-
 def falling_row(x, n: int, stride) -> list:
     """The strided falling factorials of x of lengths 0 .. n, one product
-    step each: (x | h)_(m+1) = (x | h)_m (x - m h)."""
+    step each: (x | h)_(m+1) = (x | h)_m (x - m h); stride 0 gives x**m."""
     x = Fraction(x)
     h = Fraction(stride)
     out = [Fraction(1)]

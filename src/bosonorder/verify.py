@@ -30,14 +30,14 @@ from fractions import Fraction
 from itertools import chain
 from math import factorial
 
-from .scalars import SPoly, binomial, format_rational
+from .scalars import S, binomial, format_rational
 from .series import Series
 from .weyl import (ClassicalPoly, NormalForm, Word, anti_normal_order,
                    convert_order, normal_order, s_quantize,
                    weyl_quantize_monomial)
 from .riordan import (CATALOG, RiordanPair, _tp_trim, array_coeffs,
                       as_riordan, catalog, group_inverse, group_product,
-                      identity_pair, ladder_apply, ordinary_array_coeffs)
+                      identity_pair, ladder_apply)
 from .hsu_shiue import (HSParams, hs_coeff_sum, hs_egf, hs_falling_table,
                         hs_pair, hs_pde_residual, hs_triangle_rec)
 from .two_point import (TwoPointParams, closed_form_e1, quartic_leading_coeffs,
@@ -46,8 +46,6 @@ from .ordering import (SingleAnnihilatorWord, blasiak_identity_check,
                        exp_number_closed_form, laguerre_power,
                        oracle_exponential, power_normal_form,
                        s_ordered_symbol, weyl_power_aaa)
-
-SYMBOLIC = SPoly.s()
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +119,7 @@ def suite_main_theorem(rng):
     for total in range(1, 5):
         for L in range(total + 1):
             w = SingleAnnihilatorWord(L, total - L)
-            got = s_ordered_symbol(w, SYMBOLIC, lam_order).quantize()
+            got = s_ordered_symbol(w, S, lam_order).quantize()
             want = oracle_exponential(w, lam_order)
             yield ({"L": w.L, "R": w.R, "s": "symbolic",
                     "lambda_order": lam_order}, _lambda_tables(got, want))
@@ -133,8 +131,8 @@ def suite_cahill_glauber(rng):
     Gaussian in x* x, against both the two-point route and the oracle."""
     lam_order = 8
     w = SingleAnnihilatorWord(1, 0)
-    closed = exp_number_closed_form(SYMBOLIC, lam_order)
-    direct = s_ordered_symbol(w, SYMBOLIC, lam_order)
+    closed = exp_number_closed_form(S, lam_order)
+    direct = s_ordered_symbol(w, S, lam_order)
     yield ({"check": "closed form vs two-point EGF", "s": "symbolic",
             "lambda_order": lam_order},
            _lambda_tables(closed.terms, direct.terms))
@@ -252,9 +250,8 @@ def suite_e1_closed_forms(rng):
     order = 10
     for L, R in ((2, 0), (1, 1), (0, 2)):
         w = SingleAnnihilatorWord(L, R)
-        closed = closed_form_e1(L, R, SYMBOLIC, order)
-        inverted = as_riordan(two_point_pair(w.two_point_params(SYMBOLIC),
-                                             order))
+        closed = closed_form_e1(L, R, S, order)
+        inverted = as_riordan(two_point_pair(w.two_point_params(S), order))
         yield ({"L": L, "R": R, "s": "symbolic", "order": order},
                _pairs(closed, inverted))
 
@@ -266,7 +263,7 @@ def suite_e2_quartic(rng):
     leading coefficients vanish so the constraint degenerates to the
     quadratic that the endpoint root still satisfies."""
     order = 8
-    svals = (("symbolic", SYMBOLIC), ("-1", Fraction(-1)), ("1", Fraction(1)))
+    svals = (("symbolic", S), ("-1", Fraction(-1)), ("1", Fraction(1)))
     for L in range(4):
         R = 3 - L
         for label, s in svals:
@@ -284,8 +281,9 @@ def suite_e2_quartic(rng):
 def suite_weyl_power(rng):
     """The Weyl-ordered (ad a ad)^n formula: quantizing the symbol at s = 0
     must reproduce the rewriting oracle (n <= 6), and the interior
-    triangle must equal the ordinary Riordan array
-    [1/sqrt(1+4z^2), 2z/(1+sqrt(1+4z^2))], i.e. signed central binomials."""
+    triangle must be the ordinary Riordan array
+    [1/sqrt(1+4z^2), 2z/(1+sqrt(1+4z^2))] of signed central binomials,
+    checked on the exponential array, whose entries carry an extra n!/k!."""
     nmax, triangle_N = 6, 12
     word = Word("cac")
     syms = [weyl_power_aaa(n) for n in range(nmax + 1)]
@@ -295,18 +293,18 @@ def suite_weyl_power(rng):
 
     z = Series.variable(triangle_N)
     root = (1 + 4 * z * z).pow_rational(Fraction(1, 2))
-    tri = ordinary_array_coeffs(root.reciprocal(), (2 * z) / (1 + root),
-                                triangle_N)
+    tri = array_coeffs(RiordanPair(root.reciprocal(), (2 * z) / (1 + root)),
+                       triangle_N)
     yield ({"check": "interior triangle is ordinary Riordan", "N": triangle_N},
            (_diff(f"({n},{k})", tri.entry(n, k),
-                  Fraction((-1) ** ((n - k) // 2) * binomial(n, (n - k) // 2))
+                  Fraction((-1) ** ((n - k) // 2) * binomial(n, (n - k) // 2)
+                           * factorial(n), factorial(k))
                   if (n - k) % 2 == 0 else Fraction(0))
             for n in range(triangle_N + 1) for k in range(n + 1)))
 
     yield ({"check": "symbol coefficients vs triangle", "nmax": nmax},
            (_diff(f"n={n} k={k}", sym.coeff(n + k, k),
-                  tri.entry(n, k) * Fraction(1, 2 ** (n - k))
-                  * Fraction(factorial(n), factorial(k)))
+                  tri.entry(n, k) * Fraction(1, 2 ** (n - k)))
             for n, sym in enumerate(syms) for k in range(n + 1)))
 
 
@@ -328,7 +326,7 @@ def suite_conversion(rng):
         F = _random_symbol(rng)
         s1, s2, s3 = (_rand_frac(rng, -4, 4) for _ in range(3))
         G = convert_order(F, s1, s2)
-        H = convert_order(F, s1, SYMBOLIC)
+        H = convert_order(F, s1, S)
         yield ({"draw": i, "degree": F.total_degree(),
                 "s": [format_rational(s1), format_rational(s2),
                       format_rational(s3)]}, chain(

@@ -196,12 +196,10 @@ class AntiNormalForm(_Table):
     _symbols = ("a", "a†")
 
     def to_normal(self) -> NormalForm:
-        """Expand each a^m ad^n into normal order."""
-        items = []
-        for (m, n), c in self.table.items():
-            for k in range(min(m, n) + 1):
-                items.append(((n - k, m - k), _contract(m, n, k) * c))
-        return NormalForm(items)
+        """Expand into normal order: a^m ad^n is the s = +1 quantization of
+        the symbol x*^n x^m."""
+        return s_quantize(ClassicalPoly(((n, m), c)
+                                        for (m, n), c in self.table.items()), 1)
 
 
 def _contract(m: int, n: int, k: int) -> int:

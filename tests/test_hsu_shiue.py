@@ -11,7 +11,7 @@ from bosonorder import hsu_shiue
 from bosonorder.hsu_shiue import (HSParams, hs_coeff_sum, hs_egf, hs_pair,
                                   hs_pde_residual, hs_triangle_rec)
 from bosonorder.riordan import group_inverse
-from bosonorder.scalars import binomial, falling
+from bosonorder.scalars import binomial, falling_row
 
 param_st = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 nonzero_st = param_st.filter(lambda q: q != 0)
@@ -51,7 +51,8 @@ def test_equal_parameters_collapse_to_binomials(b, r):
     tri = hs_triangle_rec(HSParams(b, b, r), 6)
     for n in range(7):
         for k in range(n + 1):
-            assert tri.entry(n, k) == binomial(n, k) * falling(r, n - k, b)
+            want = binomial(n, k) * falling_row(r, n - k, b)[n - k]
+            assert tri.entry(n, k) == want
 
 
 @given(param_st, nonzero_st, param_st)

@@ -118,7 +118,6 @@ def test_power_symbol_inverts_nothing(monkeypatch):
     monkeypatch.setattr(Series, "revert", refuse)
     monkeypatch.setattr(Series, "compose", refuse)
     monkeypatch.setattr(riordan, "group_inverse", refuse)
-    monkeypatch.setattr(riordan, "_array_rows", refuse)
     assert power_symbol(w, 7, S) == want
     with pytest.raises(AssertionError):
         s_ordered_symbol(w, S, 7)

@@ -13,12 +13,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bosonorder import cli
-from bosonorder.hsu_shiue import HSParams, hs_pair
+from bosonorder.hsu_shiue import HSParams, hs_egf, hs_pair
 from bosonorder.riordan import (CATALOG, BivariateEGF, RiordanPair, Triangle,
-                                _array_rows, array_coeffs, as_riordan, catalog,
+                                array_coeffs, as_riordan, catalog,
                                 group_inverse, group_product, identity_pair,
-                                ladder_apply, ordinary_array_coeffs,
-                                pair_to_egf, sheffer_row)
+                                ladder_apply, pair_to_egf, sheffer_row)
 from bosonorder.scalars import SPoly, binomial
 from bosonorder.series import Series
 from bosonorder.two_point import TwoPointParams, two_point_egf, two_point_pair
@@ -247,15 +246,14 @@ def test_catalog_unknown_name():
         catalog("chebyshev", 6)
 
 
-def _array_rows_full(d, h, N, weights):
+def _array_rows_full(d, h, N):
     """The column loop at full order: column k is d h^k through z^N, and
-    entry (n, k) is read at z^n."""
+    entry (n, k) is read at z^n and weighted by 1/k!."""
     acc = d.truncate(N)
     h = h.truncate(N)
     cols = []
     for k in range(N + 1):
-        w = weights[k]
-        cols.append(acc.coeffs if w == 1 else [w * c for c in acc.coeffs])
+        cols.append([Fraction(1, factorial(k)) * c for c in acc.coeffs])
         if k < N:
             acc = acc * h
     return [[cols[k][n] for k in range(n + 1)] for n in range(N + 1)]
@@ -268,15 +266,15 @@ array_case_st = st.one_of(
               st.one_of(st.just(SPoly.s()), coeff_st)))
 
 
-@given(array_case_st, st.integers(0, 12), st.booleans())
-@example("touchard", 0, True)
-@example("abel", 1, False)
-@example((Fraction(-4, 3), Fraction(5, 2), Fraction(7, 4)), 12, True)
-@example((2, 1, -2, 1, SPoly.s()), 12, True)
-@example((2, 1, -2, 1, Fraction(1, 3)), 12, False)
-@example((0, 0, 1, 2, SPoly.s()), 1, True)
+@given(array_case_st, st.integers(0, 12))
+@example("touchard", 0)
+@example("abel", 1)
+@example((Fraction(-4, 3), Fraction(5, 2), Fraction(7, 4)), 12)
+@example((2, 1, -2, 1, SPoly.s()), 12)
+@example((2, 1, -2, 1, Fraction(1, 3)), 12)
+@example((0, 0, 1, 2, SPoly.s()), 1)
 @settings(max_examples=40, deadline=None)
-def test_array_rows_match_the_full_order_column_loop(case, n, exponential):
+def test_pair_to_egf_matches_the_full_order_column_loop(case, n):
     # catalog and two-point pairs are inverted to their arrays; Hsu-Shiue
     # pairs (A, B, r) are arrays already
     if isinstance(case, str):
@@ -285,20 +283,20 @@ def test_array_rows_match_the_full_order_column_loop(case, n, exponential):
         pair = hs_pair(HSParams(*case), n)
     else:
         pair = as_riordan(two_point_pair(TwoPointParams(*case), n))
-    weights = ([Fraction(1, factorial(k)) for k in range(n + 1)]
-               if exponential else [1] * (n + 1))
-    d, h = pair.first, pair.second
-    assert _array_rows(d, h, n, weights) == _array_rows_full(d, h, n, weights)
+    rows = _array_rows_full(pair.first, pair.second, n)
+    assert pair_to_egf(pair, n) == BivariateEGF(rows, n)
 
 
 def test_ordinary_pascal():
+    # the ordinary Pascal pair [1/(1-z), z/(1-z)] read as an exponential
+    # array: C(n, k) times n!/k!
     z = Series.variable(8)
     d = (1 - z).reciprocal()
-    h = z * d
-    tri = ordinary_array_coeffs(d, h, 8)
+    tri = array_coeffs(RiordanPair(d, z * d), 8)
     for n in range(9):
         for k in range(n + 1):
-            assert tri.entry(n, k) == binomial(n, k)
+            want = binomial(n, k) * factorial(n) // factorial(k)
+            assert tri.entry(n, k) == want
 
 
 def test_triangle_serialization():
@@ -321,6 +319,13 @@ def test_egf_triangle_needs_polynomial_rows():
                         (SPoly(), SPoly(), SPoly.const(1))], 1)
     with pytest.raises(ValueError):
         bad.to_triangle()
+
+
+def test_egf_coeff_is_zero_outside_the_row():
+    egf = hs_egf(HSParams(1, 1, 1), 3)
+    assert egf.coeff(2, -1) == 0
+    assert egf.coeff(2, 3) == 0
+    assert egf.coeff(2, 2) == Fraction(1, 2)
 
 
 def test_eval_s_on_symbolic_pair():

@@ -6,8 +6,8 @@ from math import gcd
 import pytest
 from hypothesis import example, given, strategies as st
 
-from bosonorder.scalars import (SPoly, as_s, as_spoly, binomial, dot, falling,
-                                format_rational, parse_rational)
+from bosonorder.scalars import (SPoly, as_s, as_spoly, binomial, dot,
+                                falling_row, format_rational, parse_rational)
 
 S = SPoly.s()
 
@@ -27,11 +27,11 @@ def test_parse_format_round_trip():
 
 def test_falling():
     # (7 | 2)_3 = 7 * 5 * 3
-    assert falling(7, 3, 2) == 105
-    assert falling(7, 0, 2) == 1
+    assert falling_row(7, 3, 2) == [1, 7, 35, 105]
+    assert falling_row(7, 0, 2) == [1]
     # stride 0 degenerates to a plain power
-    assert falling(3, 4, 0) == 81
-    assert falling(Fraction(1, 2), 2, 1) == Fraction(1, 2) * Fraction(-1, 2)
+    assert falling_row(3, 4, 0)[4] == 81
+    assert falling_row(Fraction(1, 2), 2, 1)[2] == Fraction(-1, 4)
 
 
 def test_spoly_basics():

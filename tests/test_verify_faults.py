@@ -75,9 +75,9 @@ def _oracle_exponential(orig):
     return fault
 
 
-def _ordinary_array_coeffs(orig):
-    def fault(d, h, N):
-        tri = orig(d, h, N)
+def _array_coeffs(orig):
+    def fault(p, N):
+        tri = orig(p, N)
         rows = [list(row) for row in tri.rows]
         rows[4][2] = rows[4][2] + 1
         return Triangle(tri.N, rows)
@@ -173,8 +173,8 @@ FAULTS = [
      [(1, "order: 8 != 7")]),
     ("oracle_exponential", _oracle_exponential, "main-theorem",
      [(0, "order: 6 != 5"), (1, "order: 6 != 5")]),
-    ("ordinary_array_coeffs", _ordinary_array_coeffs, "weyl-power",
-     [(7, "(4,2): -3 != -4"), (8, "n=4 k=2: -12 != -9")]),
+    ("array_coeffs", _array_coeffs, "weyl-power",
+     [(7, "(4,2): -47 != -48"), (8, "n=4 k=2: -12 != -47/4")]),
     ("quartic_residual", _quartic_residual, "e2-quartic",
      [(0, "z^3: 1 != 0"), (1, "z^3: 1 != 0")]),
     ("power_normal_form", _power_normal_form, "katriel",

@@ -5,9 +5,12 @@ densest checks: frozen hand-computed normal forms, the homomorphism law,
 adjoint/anti-normal consistency on random words, the rook-number normal
 form of every word, the string-word rewriting kernel against a slow
 reference loop, and the sign of every coefficient that kernel returns.
+The oracle's source imports no package module but the scalars.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,6 +29,22 @@ s_st = st.fractions(min_value=-2, max_value=2, max_denominator=4)
 key_st = st.tuples(st.integers(0, 4), st.integers(0, 4))
 poly_st = st.dictionaries(key_st, s_st.filter(lambda q: q != 0),
                           max_size=4).map(ClassicalPoly)
+
+
+def test_oracle_imports_only_the_scalars():
+    # importing bosonorder.weyl loads the whole package, so sys.modules
+    # cannot show this; the module's own import statements can
+    import bosonorder.weyl as weyl
+    tree = ast.parse(Path(weyl.__file__).read_text(encoding="utf-8"))
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package.add("." * node.level + (node.module or ""))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([node.module] if isinstance(node, ast.ImportFrom)
+                     else [alias.name for alias in node.names])
+            package.update(n for n in names if n.split(".")[0] == "bosonorder")
+    assert package == {".scalars"}
 
 
 def test_word_parsing_and_display():
