@@ -14,6 +14,8 @@ Three independent computational routes are provided and cross-checked:
 * a finite summation formula (valid for B != 0),
 * the triangular recurrence
       HS_{n+1,k} = (r - A n + B k) HS_{n,k} + HS_{n,k-1},
+  run on the integers L^(n-k) HS_{n,k}, L the lcm of the denominators of
+  A, B and r, so that no cell builds a Fraction before the last step,
 * the exponential Riordan pair
 
       d(z) = (1 + A z)^(r/A)          h(z) = ((1 + A z)^(B/A) - 1)/B
@@ -32,9 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
-from .scalars import binomial, falling_row
+from .scalars import SPoly, binomial, falling_row
 from .riordan import BivariateEGF, RiordanPair, Triangle, pair_to_egf
 from .series import Series
 
@@ -94,20 +96,30 @@ def hs_coeff_sum(p: HSParams, n: int, k: int, table=None) -> Fraction:
 
 
 def hs_triangle_rec(p: HSParams, N: int) -> Triangle:
-    """The triangle through row N by the recurrence, apex 1."""
-    rows = [[Fraction(1)]]
+    """The triangle through row N by the recurrence, apex 1, on integers.
+
+    With L = lcm(den A, den B, den r), T_{n,k} = L^(n-k) HS_{n,k} is an
+    integer and satisfies
+
+        T_{n+1,k} = (r L - A L n + B L k) T_{n,k} + T_{n,k-1},
+
+    so each cell costs two integer products and two sums, and is divided
+    by L^(n-k) once, at the end.
+    """
+    L = lcm(p.A.denominator, p.B.denominator, p.r.denominator)
+    a, b, r = int(p.A * L), int(p.B * L), int(p.r * L)
+    rows = [[1]]
     for n in range(N):
         prev = rows[-1]
-        row = []
-        for k in range(n + 2):
-            val = Fraction(0)
-            if k <= n:
-                val += (p.r - p.A * n + p.B * k) * prev[k]
-            if 1 <= k:
-                val += prev[k - 1]
-            row.append(val)
+        c = r - a * n
+        row = [c * prev[0]]
+        row += [(c + b * k) * prev[k] + prev[k - 1] for k in range(1, n + 1)]
+        row.append(prev[n])
         rows.append(row)
-    return Triangle(N, rows)
+    powers = [L ** j for j in range(N + 1)]
+    return Triangle(N, [[SPoly.ratio(t, powers[n - k])
+                         for k, t in enumerate(row)]
+                        for n, row in enumerate(rows)])
 
 
 def hs_egf(p: HSParams, N: int) -> BivariateEGF:

@@ -12,6 +12,10 @@ function d(z) exp(t h(z)).  Pairs form a group:
     [d, h]^(-1)         = [1/(d o hbar), hbar],   hbar = revert(h)
     identity            = [1, z]
 
+The inverse is one Lagrange pass: the powers (z/h)^n that give hbar also
+give d o hbar by the Lagrange-Bürmann formula (``Series.revert`` with d as
+the outer series), and one reciprocal finishes it, with no composition.
+
 A sequence is Sheffer for the pair [g, f] (acting by the derivative D)
 exactly when its coefficient array is the exponential Riordan array of the
 group inverse of [g, f].  A :class:`RiordanPair` therefore carries a
@@ -90,12 +94,16 @@ def group_product(p1: RiordanPair, p2: RiordanPair) -> RiordanPair:
 
 
 def group_inverse(p: RiordanPair) -> RiordanPair:
-    """Group inverse of a pair, keeping its convention tag."""
+    """Group inverse of a pair, keeping its convention tag.
+
+    One Lagrange pass, ``Series.revert`` with d as the outer series, gives
+    hbar and d o hbar from the same powers (z/h)^n; one reciprocal then
+    finishes the pair, with no composition.
+    """
     if p.order == 0:
         return RiordanPair(Series.one(0), Series.zero(0), p.convention)
-    hbar = p.second.revert()
-    d = p.first.compose(hbar).reciprocal()
-    return RiordanPair(d, hbar, p.convention)
+    hbar, d_hbar = p.second.revert(p.first)
+    return RiordanPair(d_hbar.reciprocal(), hbar, p.convention)
 
 
 def as_riordan(p: RiordanPair) -> RiordanPair:

@@ -27,7 +27,10 @@ common-denominator method of Knuth, TAOCP Vol. 2, section 4.5.1:
   accumulator over a running common denominator and removes the content
   once, at the end: one reduction per sum, not one per term.  A product of
   two constants (the only kind at numeric s) skips the convolution and is
-  added into the s^0 entry as one integer.
+  added into the s^0 entry as one integer;
+- a whole Cauchy product of constants, :func:`convolve`, puts each factor
+  over the lcm of its denominators once, so each product coefficient is
+  one integer sum of products and one gcd.
 
 The gcd searches are loops that stop as soon as they reach 1, and no
 Fraction is built per coefficient.  The lowest-terms ``Fraction``
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import mul
 
 
 def parse_rational(text: str) -> Fraction:
@@ -167,6 +171,11 @@ class SPoly:
     def const(q) -> "SPoly":
         return SPoly((Fraction(q),))
 
+    @staticmethod
+    def ratio(n: int, d: int) -> "SPoly":
+        """The constant n/d for integers n and d > 0, reduced by one gcd."""
+        return _canonical([n], d, d)
+
     # -- queries ---------------------------------------------------------
 
     @property
@@ -236,13 +245,32 @@ class SPoly:
         return _canonical([-x for x in self._num], self._den, 1)
 
     def __sub__(self, other):
+        if type(other) is not SPoly:
+            other = SPoly._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, da = self._num, self._den
+        b, db = other._num, other._den
+        # as in __add__, with b negated; no swap, so either tail may remain
+        if da == db:
+            g, fa, fb = da, 1, 1
+            out = [x - y for x, y in zip(a, b)]
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            out = [x * fa - y * fb for x, y in zip(a, b)]
+            da *= fa
+        if len(a) > len(b):
+            out += [x * fa for x in a[len(b):]]
+        else:
+            out += [-y * fb for y in b[len(a):]]
+        return _canonical(out, da, g)
+
+    def __rsub__(self, other):
         other = SPoly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return other - self
 
     def __mul__(self, other):
         if type(other) is not SPoly:
@@ -443,6 +471,40 @@ def dot(xs, ys) -> SPoly:
         _mac(acc, a, b)
     acc[:1] = [acc[0] + c0] if acc else [c0]
     return _canonical(acc, D, D)
+
+
+def convolve(xs, ys, n: int) -> list:
+    """The Cauchy product coefficients sum_(i+j=k) x_i y_j, k = 0 .. n, of
+    two SPoly sequences of length > n, each one canonical SPoly.
+
+    When every coefficient is a constant (a product over Q), each side is
+    put over the lcm of its denominators once; coefficient k is then one
+    integer sum of products over the product of the two lcms, reduced by
+    one gcd, and :func:`dot` is not called.  Otherwise coefficient k is
+    ``dot(xs[:k + 1], ys[k::-1])``.
+
+    >>> half = SPoly.const(Fraction(1, 2))
+    >>> [str(c) for c in convolve([half, SPoly.const(3)], [half, half], 1)]
+    ['1/4', '7/4']
+    """
+    xs, ys = xs[:n + 1], ys[:n + 1]
+    if (any(len(c._num) > 1 for c in xs)
+            or any(len(c._num) > 1 for c in ys)):
+        return [dot(xs[:k + 1], ys[k::-1]) for k in range(n + 1)]
+    a, da = _over_lcm(xs)
+    b, db = _over_lcm(ys)
+    d = da * db
+    return [SPoly.ratio(sum(map(mul, a, b[k::-1])), d) for k in range(n + 1)]
+
+
+def _over_lcm(cs) -> tuple:
+    """Constant SPolys as integer numerators over the lcm of their
+    denominators: (list of numerators, lcm)."""
+    den = 1
+    for c in cs:
+        if c._den != 1:
+            den = lcm(den, c._den)
+    return [c._num[0] * (den // c._den) if c._num else 0 for c in cs], den
 
 
 def _canonical(num: list, den: int, g: int) -> SPoly:

@@ -12,19 +12,25 @@ coefficients are generalized factorials.  At truncation order N each costs
 O(N^2) coefficient operations or fewer, except composition and reversion,
 which cost O(N^3).  Every coefficient of a product, a reciprocal, exp and
 log is one multiply-accumulate, :func:`~bosonorder.scalars.dot`, which
-reduces it to lowest terms once, not once per term.
+reduces it to lowest terms once, not once per term.  A product whose
+factors are all constants (every product at numeric s) goes through
+:func:`~bosonorder.scalars.convolve` instead: each factor is put over the
+lcm of its denominators once, and each coefficient is one integer sum of
+products, reduced by one gcd.
 Composition is Horner's rule with truncated steps: the partial sum that has
 just taken f_k is later multiplied by inner^k, so it is carried only to order
 N - k.  Reversion is Lagrange inversion, g_n = (1/n) [z^(n-1)] (z/f)^n
 (Brent & Kung, J. ACM 25, 1978): one reciprocal for z/f and one running
-product per n, with no composition.
+product per n, with no composition; the same powers give an outer series
+composed with the inverse, u(g), by the Lagrange-Bürmann formula.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import SPoly, as_spoly, dot, format_power, format_terms
+from .scalars import (SPoly, as_spoly, convolve, dot, format_power,
+                      format_terms)
 
 
 class Series:
@@ -146,8 +152,7 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        return Series([dot(a[:k + 1], b[k::-1]) for k in range(n + 1)], n)
+        return Series(convolve(self.coeffs, other.coeffs, n), n)
 
     __rmul__ = __mul__
 
@@ -221,18 +226,25 @@ class Series:
             out = Series(out.coeffs, m) * inner.truncate(m) + self.coeffs[k]
         return out
 
-    def revert(self) -> "Series":
-        """Compositional inverse g with g(self(z)) = self(g(z)) = z.
+    def revert(self, outer=None):
+        """Compositional inverse g with g(self(z)) = self(g(z)) = z, and with
+        ``outer`` = u given, the pair (g, u o g) from the same pass.
 
         Requires zero constant term and an invertible linear coefficient,
         a rational unit c = f_1.  Lagrange inversion: with phi = z/f, whose
         constant term is 1/c, g_n = (1/n) [z^(n-1)] phi^n.  phi is one
         reciprocal at order N - 1, and one running product P = phi^n gives
         every g_n, so reversion costs N products, O(N^3), and no composition.
+        The Lagrange-Bürmann formula (Stanley, EC2, sec. 5.4) reads u o g off
+        the same powers, [z^n] u(g) = (1/n) [z^(n-1)] u' phi^n for n >= 1:
+        one more :func:`~bosonorder.scalars.dot` per n, at the order
+        min(N, u.order).
 
         >>> z = Series.variable(4)
         >>> print((1 + z).log().revert())
         z + 1/2*z^2 + 1/6*z^3 + 1/24*z^4 + O(z^5)
+        >>> print((z - z * z).revert(1 + z)[1])
+        1 + z + z^2 + 2*z^3 + 5*z^4 + O(z^5)
         """
         if not self.coeffs[0].is_zero():
             raise ValueError("reversion requires zero constant term")
@@ -242,13 +254,20 @@ class Series:
         if not c1.is_rational() or c1.is_zero():
             raise ValueError(f"linear coefficient {c1} is not invertible")
         phi = Series(self.coeffs[1:], self.order - 1).reciprocal()
-        g = [SPoly()]
+        u = Series.zero(0) if outer is None else outer  # order 0: no dots
+        m = min(self.order, u.order)
+        du = [k * c for k, c in enumerate(u.coeffs) if k]  # u'
+        g, ug = [SPoly()], [u.coeffs[0]]
         power = phi
         for n in range(1, self.order + 1):
-            g.append(power.coeffs[n - 1] / n)
+            p = power.coeffs
+            g.append(p[n - 1] / n)
+            if n <= m:
+                ug.append(dot(du[:n], p[n - 1::-1]) / n)
             if n < self.order:
                 power = power * phi
-        return Series(g, self.order)
+        g = Series(g, self.order)
+        return g if outer is None else (g, Series(ug, m))
 
     # -- exp, log, rational powers --------------------------------------
 

@@ -5,12 +5,12 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bosonorder import hsu_shiue
 from bosonorder.hsu_shiue import (HSParams, hs_coeff_sum, hs_egf, hs_pair,
                                   hs_pde_residual, hs_triangle_rec)
-from bosonorder.riordan import group_inverse
+from bosonorder.riordan import Triangle, group_inverse
 from bosonorder.scalars import binomial, falling_row
 
 param_st = st.fractions(min_value=-5, max_value=5, max_denominator=3)
@@ -42,6 +42,41 @@ def test_spot_row_with_all_parameters():
     tri = hs_triangle_rec(HSParams(1, 1, 2), 3)
     assert tri.row_poly(2) == [2, 4, 1]
     assert tri.row_poly(3) == [0, 6, 6, 1]
+
+
+def _hs_rows_by_fractions(p, N):
+    """The recurrence on Fractions, one cell at a time."""
+    rows = [[Fraction(1)]]
+    for n in range(N):
+        prev = rows[-1]
+        row = []
+        for k in range(n + 2):
+            val = Fraction(0)
+            if k <= n:
+                val += (p.r - p.A * n + p.B * k) * prev[k]
+            if 1 <= k:
+                val += prev[k - 1]
+            row.append(val)
+        rows.append(row)
+    return rows
+
+
+# zero, small and large denominators, each parameter drawn independently
+wide_param_st = st.one_of(st.just(Fraction(0)), param_st,
+                          st.fractions(min_value=-7, max_value=7,
+                                       max_denominator=10 ** 6))
+
+
+@given(wide_param_st, wide_param_st, wide_param_st, st.integers(0, 14))
+@example(0, 0, 0, 10)
+@example(0, Fraction(3, 2), Fraction(-5, 3), 14)
+@example(2, 0, -1, 14)
+@example(Fraction(1, 999983), Fraction(-7, 65536), Fraction(3, 1000003), 12)
+@example(Fraction(-4, 3), Fraction(5, 2), 0, 0)
+@settings(max_examples=40, deadline=None)
+def test_integer_recurrence_matches_the_fraction_recurrence(a, b, r, N):
+    p = HSParams(a, b, r)
+    assert hs_triangle_rec(p, N) == Triangle(N, _hs_rows_by_fractions(p, N))
 
 
 @given(nonzero_st, param_st)

@@ -275,16 +275,64 @@ array_case_st = st.one_of(
 @example((0, 0, 1, 2, SPoly.s()), 1)
 @settings(max_examples=40, deadline=None)
 def test_pair_to_egf_matches_the_full_order_column_loop(case, n):
-    # catalog and two-point pairs are inverted to their arrays; Hsu-Shiue
-    # pairs (A, B, r) are arrays already
-    if isinstance(case, str):
-        pair = as_riordan(catalog(case, n))
-    elif len(case) == 3:
-        pair = hs_pair(HSParams(*case), n)
-    else:
-        pair = as_riordan(two_point_pair(TwoPointParams(*case), n))
+    pair = as_riordan(_case_pair(case, n))
     rows = _array_rows_full(pair.first, pair.second, n)
     assert pair_to_egf(pair, n) == BivariateEGF(rows, n)
+
+
+def _case_pair(case, n):
+    """The pair of an ``array_case_st`` case at order n, in its own
+    convention: catalog and two-point pairs are Sheffer pairs [g, f],
+    Hsu-Shiue pairs (A, B, r) are arrays [d, h]."""
+    if isinstance(case, str):
+        return catalog(case, n)
+    if len(case) == 3:
+        return hs_pair(HSParams(*case), n)
+    return two_point_pair(TwoPointParams(*case), n)
+
+
+def _group_inverse_by_composition(p):
+    """[1/(d o hbar), hbar] by reversion, composition and reciprocal."""
+    if p.order == 0:
+        return RiordanPair(Series.one(0), Series.zero(0), p.convention)
+    hbar = p.second.revert()
+    return RiordanPair(p.first.compose(hbar).reciprocal(), hbar, p.convention)
+
+
+@given(array_case_st, st.integers(0, 12))
+@example("laguerre", 0)
+@example("abel", 12)
+@example((Fraction(-4, 3), Fraction(5, 2), Fraction(7, 4)), 12)
+@example((0, 0, 1), 12)
+@example((2, 1, -2, 1, SPoly.s()), 12)
+@example((2, 1, -2, 1, Fraction(1, 3)), 12)
+@example((3, 1, -3, 1, -1), 1)
+@settings(max_examples=40, deadline=None)
+def test_group_inverse_matches_reversion_composition_reciprocal(case, n):
+    pair = _case_pair(case, n)
+    assert group_inverse(pair) == _group_inverse_by_composition(pair)
+
+
+def test_group_inverse_is_one_lagrange_pass(monkeypatch):
+    revert = Series.revert
+    calls = []
+
+    def counted(self, *args):
+        calls.append(args)
+        return revert(self, *args)
+
+    def no_compose(self, inner):
+        raise AssertionError("group_inverse called compose")
+
+    for case in ("touchard", (2, 1, -2, 1, SPoly.s()), (1, -2, 3)):
+        pair = _case_pair(case, 10)
+        want = _group_inverse_by_composition(pair)
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(Series, "revert", counted)
+            mp.setattr(Series, "compose", no_compose)
+            assert group_inverse(pair) == want
+        assert calls == [(pair.first,)]
 
 
 def test_ordinary_pascal():

@@ -180,6 +180,35 @@ def test_kernels_match_fraction_loops(pair):
             assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
 
 
+@given(spoly_pairs(), wide_fractions_st)
+@example((SPoly(), S), Fraction(0))
+@example((S, S), Fraction(3, 4))
+@example((1 + S / 6, S * S / 4 - 1), Fraction(-1, 3))
+@example((S * S / 4 - 1, 1 + S / 6), Fraction(5))
+def test_sub_equals_adding_the_negative(pair, q):
+    # both tails (the left or the right operand longer), equal and unrelated
+    # denominators, rational operands on either side
+    p, r = pair
+    for got, want in ((p - r, p + (-r)), (r - p, r + (-p)),
+                      (p - q, p + (-q)), (q - p, -p + q),
+                      (p - int(q), p + (-int(q))), (int(q) - p, -p + int(q))):
+        assert_canonical(got)
+        assert got == want
+
+
+def test_sub_neither_negates_nor_adds(monkeypatch):
+    cases = [(1 + S / 6, S * S / 4 - 1), (S * S / 4 - 1, 1 + S / 6),
+             (S / 3, S / 3), (SPoly(), S), (_c(1, 2), 3), (3, _c(1, 2))]
+    want = [SPoly._coerce(a) + (-SPoly._coerce(b)) for a, b in cases]
+
+    def refuse(*args):
+        raise AssertionError("SPoly subtraction negated or added")
+
+    for name in ("__add__", "__radd__", "__neg__"):
+        monkeypatch.setattr(SPoly, name, refuse)
+    assert [a - b for a, b in cases] == want
+
+
 # -- the integer storage: canonical form and the derived coefficients --------
 
 def assert_canonical(p):

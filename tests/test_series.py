@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bosonorder.scalars import SPoly
+from bosonorder import scalars
+from bosonorder.scalars import SPoly, dot
 from bosonorder.series import Series
 
 N = 8
@@ -147,6 +148,25 @@ def test_reversion_makes_no_composition(monkeypatch):
     assert f.revert() == expected
 
 
+outer_st = st.integers(0, N).flatmap(
+    lambda order: st.lists(spoly2_st, max_size=order + 1).map(
+        lambda cs: Series(cs, order)))
+
+
+@settings(deadline=None)
+@given(revertible_st, outer_st)
+@example(Series([0, Fraction(-3, 2), SPoly.s(), 0, 1 - SPoly.s()], N),
+         Series([1, 2, SPoly.s(), 0, Fraction(-1, 5)], N))
+@example(Series([0, Fraction(1, 3), 1], N), Series([5], 0))
+@example(Series([0, 2, Fraction(1, 2)], N), Series([0, 0, 0, SPoly.s()], 3))
+def test_revert_outer_is_the_composition_with_the_inverse(f, u):
+    # linear coefficients other than 1 are drawn and in the examples
+    g, ug = f.revert(u)
+    assert g == f.revert()
+    assert ug.order == min(f.order, u.order)
+    assert ug == u.compose(g)
+
+
 def _compose_full_order(f: Series, inner: Series) -> Series:
     """Horner's rule with every step at the full order."""
     n = min(f.order, inner.order)
@@ -213,6 +233,74 @@ gappy_series_st = st.integers(0, N).flatmap(
 @example(Series([], 0), Series([1, 2], 1))
 def test_product_matches_the_term_by_term_chain(f, g):
     assert f * g == _mul_by_terms(f, g)
+
+
+def _mul_by_dot(f: Series, g: Series) -> Series:
+    """The Cauchy product with one ``dot`` per coefficient."""
+    n = min(f.order, g.order)
+    return Series([dot(f.coeffs[:k + 1], g.coeffs[k::-1])
+                   for k in range(n + 1)], n)
+
+
+# rationals with zeros, both signs and unrelated denominators, at orders 0 .. N
+q_coeff_st = st.one_of(st.just(Fraction(0)),
+                       st.fractions(min_value=-50, max_value=50,
+                                    max_denominator=60))
+q_series_st = st.integers(0, N).flatmap(
+    lambda order: st.lists(q_coeff_st, max_size=order + 1).map(
+        lambda cs: Series(cs, order)))
+
+
+def _refuse_dot(xs, ys):
+    raise AssertionError("a product over Q reached scalars.dot")
+
+
+@settings(deadline=None)
+@given(q_series_st, q_series_st)
+@example(Series([], 0), Series([Fraction(1, 3)], 0))
+@example(Series([Fraction(1, 2), 0, Fraction(-2, 9)], 2),
+         Series([Fraction(3, 7), Fraction(-5, 11), 0, 0, 1], 4))
+@example(Series([Fraction(1, 2), Fraction(1, 3)], 1),
+         Series([Fraction(2, 3), -1], 1))
+def test_product_over_q_never_reaches_dot(f, g):
+    want = _mul_by_dot(f, g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalars, "dot", _refuse_dot)
+        got = f * g
+    assert got == want == _mul_by_terms(f, g)
+
+
+@st.composite
+def symbolic_product_st(draw):
+    """(f, g) over Q, then one coefficient of one factor, inside the
+    product's order, replaced by a polynomial of degree 1 in s."""
+    f, g = draw(q_series_st), draw(q_series_st)
+    k = draw(st.integers(0, min(f.order, g.order)))
+    cs = list(f.coeffs)
+    cs[k] = SPoly((draw(q_coeff_st), draw(q_coeff_st.filter(bool))))
+    f = Series(cs, f.order)
+    return (g, f) if draw(st.booleans()) else (f, g)
+
+
+@settings(deadline=None)
+@given(symbolic_product_st())
+@example((Series([SPoly.s()], 0), Series([Fraction(-1, 7)], 0)))
+@example((Series([Fraction(1, 2), 0, 0], 2),
+          Series([0, 0, SPoly.s() / 3, Fraction(5, 9)], 3)))
+def test_product_with_a_symbolic_factor_goes_through_dot(case):
+    f, g = case
+    want = _mul_by_dot(f, g)
+    calls = []
+
+    def counted(xs, ys):
+        calls.append(len(xs))
+        return dot(xs, ys)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalars, "dot", counted)
+        got = f * g
+    assert got == want == _mul_by_terms(f, g)
+    assert calls == list(range(1, got.order + 2))
 
 
 @settings(deadline=None)
