@@ -5,6 +5,9 @@ polynomial-in-s arithmetic, so repeated runs with the same arguments are
 byte-for-byte identical.  The truncation order is --N (default 8) and
 must be >= 0; power and weyl-aaa take no truncation order.
 
+:data:`COMMANDS` is the one list of subcommands; a new subcommand is one
+handler decorated with ``@_command(name, help, *specs)``.
+
 Exit codes:
     0   success (for ``verify``: every case passed)
     1   a verification suite reported a failing case
@@ -77,74 +80,8 @@ def _symbol_series_csv(series) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.
+# Subcommands: each handler is registered beside its flags.
 # ---------------------------------------------------------------------------
-
-def _cmd_hs_triangle(args) -> int:
-    tri = hs_triangle_rec(HSParams(args.A, args.B, args.r), args.N)
-    return _output(args, tri, _triangle_csv)
-
-
-def _cmd_hs_egf(args) -> int:
-    return _output(args, hs_egf(HSParams(args.A, args.B, args.r), args.N),
-                   _egf_csv)
-
-
-def _cmd_two_point_egf(args) -> int:
-    p = TwoPointParams(args.A, args.B, args.r, args.r_prime, args.s)
-    return _output(args, two_point_egf(p, args.N), _egf_csv)
-
-
-def _cmd_order(args) -> int:
-    w = SingleAnnihilatorWord(args.L, args.R)
-    return _output(args, s_ordered_symbol(w, args.s, args.N),
-                   _symbol_series_csv)
-
-
-def _cmd_power(args) -> int:
-    w = SingleAnnihilatorWord(args.L, args.R)
-    return _output(args, power_symbol(w, args.n, args.s), _table_csv)
-
-
-def _cmd_weyl_aaa(args) -> int:
-    return _output(args, weyl_power_aaa(args.n), _table_csv)
-
-
-def _cmd_verify(args) -> int:
-    if args.suite == "all":
-        reports = run_all(args.seed)
-        ok = all(suite_passed(r) for r in reports)
-    else:
-        reports = run_suite(args.suite, args.seed)
-        ok = suite_passed(reports)
-    _emit(json.dumps(reports, indent=2), args.out)
-    return 0 if ok else 1
-
-
-def _cmd_catalog(args) -> int:
-    pair = catalog(args.sequence, args.N)
-    return _output(args, array_coeffs(pair, args.N), _triangle_csv,
-                   lambda tri: {"sequence": args.sequence,
-                                "convention": pair.convention,
-                                "g": pair.first.to_json(),
-                                "f": pair.second.to_json(),
-                                "triangle": tri.to_json()})
-
-
-# ---------------------------------------------------------------------------
-# Parser.
-# ---------------------------------------------------------------------------
-
-def _add_output_flags(sp, truncated: bool = True) -> None:
-    sp.add_argument("--format", choices=("json", "csv"), default="json",
-                    help="output format (default json)")
-    sp.add_argument("--out", metavar="FILE", default=None,
-                    help="write to FILE instead of stdout")
-    if truncated:
-        sp.add_argument("--N", type=int, default=DEFAULT_TRUNC_ORDER,
-                        metavar="ORDER",
-                        help=f"truncation order (default {DEFAULT_TRUNC_ORDER})")
-
 
 def _arg_type(name: str, parse):
     """``parse`` as an argparse type named ``name``: argparse reports bad
@@ -158,27 +95,110 @@ def _arg_type(name: str, parse):
 _rational = _arg_type("rational", parse_rational)
 _ordering = _arg_type("ordering", as_s)
 
+# Flag groups: (flag, add_argument keywords) pairs, added in this order.
+_HS = (("--A", dict(type=_rational, required=True,
+                    help="parameter A, a rational like 3 or -1/2")),
+       ("--B", dict(type=_rational, required=True, help="parameter B")),
+       ("--r", dict(type=_rational, required=True, help="parameter r")))
+_WORD = (("--L", dict(type=int, required=True,
+                      help="creation operators left of the annihilator")),
+         ("--R", dict(type=int, required=True,
+                      help="creation operators right of the annihilator")))
+_S = ("--s", dict(type=_ordering, default="symbolic",
+                  help="ordering parameter: a rational, or one of "
+                       "normal/weyl/antinormal/symbolic (default symbolic)"))
+_POWER = ("--n", dict(type=int, required=True, help="the power"))
+_OUTPUT = (("--format", dict(choices=("json", "csv"), default="json",
+                             help="output format (default json)")),
+           ("--out", dict(metavar="FILE", default=None,
+                          help="write to FILE instead of stdout")))
+_N = ("--N", dict(type=int, default=DEFAULT_TRUNC_ORDER, metavar="ORDER",
+                  help=f"truncation order (default {DEFAULT_TRUNC_ORDER})"))
 
-def _add_hs_params(sp) -> None:
-    sp.add_argument("--A", type=_rational, required=True,
-                    help="parameter A, a rational like 3 or -1/2")
-    sp.add_argument("--B", type=_rational, required=True,
-                    help="parameter B")
-    sp.add_argument("--r", type=_rational, required=True,
-                    help="parameter r")
+#: name -> (help, argument specs, handler), in ``bosonorder --help`` order.
+COMMANDS: dict = {}
 
 
-def _add_word_flags(sp) -> None:
-    sp.add_argument("--L", type=int, required=True,
-                    help="creation operators left of the annihilator")
-    sp.add_argument("--R", type=int, required=True,
-                    help="creation operators right of the annihilator")
+def _command(name: str, help: str, *specs):
+    """Register the decorated handler in :data:`COMMANDS` as subcommand
+    ``name`` with the (flag, keywords) argument ``specs``."""
+    def register(fn):
+        COMMANDS[name] = (help, specs, fn)
+        return fn
+    return register
 
 
-def _add_s_flag(sp) -> None:
-    sp.add_argument("--s", type=_ordering, default="symbolic",
-                    help="ordering parameter: a rational, or one of "
-                         "normal/weyl/antinormal/symbolic (default symbolic)")
+@_command("hs-triangle", "generalized Stirling triangle HS(A, B, r)",
+          *_HS, *_OUTPUT, _N)
+def _cmd_hs_triangle(args) -> int:
+    tri = hs_triangle_rec(HSParams(args.A, args.B, args.r), args.N)
+    return _output(args, tri, _triangle_csv)
+
+
+@_command("hs-egf", "bivariate EGF d(z) exp(t h(z)) of HS(A, B, r)",
+          *_HS, *_OUTPUT, _N)
+def _cmd_hs_egf(args) -> int:
+    return _output(args, hs_egf(HSParams(args.A, args.B, args.r), args.N),
+                   _egf_csv)
+
+
+@_command("two-point-egf",
+          "bivariate EGF of the two-point family T(A, B, r, r'; s)", *_HS,
+          ("--r-prime", dict(type=_rational, required=True,
+                             help="parameter r'")), _S, *_OUTPUT, _N)
+def _cmd_two_point_egf(args) -> int:
+    p = TwoPointParams(args.A, args.B, args.r, args.r_prime, args.s)
+    return _output(args, two_point_egf(p, args.N), _egf_csv)
+
+
+@_command("order", "s-ordered symbol series of exp(lambda ad^L a ad^R)",
+          *_WORD, _S, *_OUTPUT, _N)
+def _cmd_order(args) -> int:
+    w = SingleAnnihilatorWord(args.L, args.R)
+    return _output(args, s_ordered_symbol(w, args.s, args.N),
+                   _symbol_series_csv)
+
+
+@_command("power", "s-ordered symbol of the single power (ad^L a ad^R)^n",
+          *_WORD, _POWER, _S, *_OUTPUT)
+def _cmd_power(args) -> int:
+    w = SingleAnnihilatorWord(args.L, args.R)
+    return _output(args, power_symbol(w, args.n, args.s), _table_csv)
+
+
+@_command("weyl-aaa", "Weyl-ordered symbol of (ad a ad)^n", _POWER, *_OUTPUT)
+def _cmd_weyl_aaa(args) -> int:
+    return _output(args, weyl_power_aaa(args.n), _table_csv)
+
+
+@_command("verify", "run a verification suite and report JSON",
+          ("suite", dict(choices=list(SUITES) + ["all"],
+                         help="suite name, or 'all'")),
+          ("--seed", dict(type=int, default=0,
+                          help="seed for randomized cases (default 0)")),
+          ("--out", dict(metavar="FILE", default=None,
+                         help="write the report to FILE instead of stdout")))
+def _cmd_verify(args) -> int:
+    if args.suite == "all":
+        reports = run_all(args.seed)
+        ok = all(suite_passed(r) for r in reports)
+    else:
+        reports = run_suite(args.suite, args.seed)
+        ok = suite_passed(reports)
+    _emit(json.dumps(reports, indent=2), args.out)
+    return 0 if ok else 1
+
+
+@_command("catalog", "a classical Sheffer pair and its triangle",
+          ("sequence", dict(choices=CATALOG)), *_OUTPUT, _N)
+def _cmd_catalog(args) -> int:
+    pair = catalog(args.sequence, args.N)
+    return _output(args, array_coeffs(pair, args.N), _triangle_csv,
+                   lambda tri: {"sequence": args.sequence,
+                                "convention": pair.convention,
+                                "g": pair.first.to_json(),
+                                "f": pair.second.to_json(),
+                                "triangle": tri.to_json()})
 
 
 @functools.cache
@@ -193,74 +213,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact generalized-Stirling arrays and s-ordered "
                     "expansions of boson operators.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("hs-triangle",
-                        help="generalized Stirling triangle HS(A, B, r)")
-    _add_hs_params(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_hs_triangle)
-
-    sp = sub.add_parser("hs-egf",
-                        help="bivariate EGF d(z) exp(t h(z)) of HS(A, B, r)")
-    _add_hs_params(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_hs_egf)
-
-    sp = sub.add_parser("two-point-egf",
-                        help="bivariate EGF of the two-point family "
-                             "T(A, B, r, r'; s)")
-    _add_hs_params(sp)
-    sp.add_argument("--r-prime", type=_rational, required=True,
-                    dest="r_prime", help="parameter r'")
-    _add_s_flag(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_two_point_egf)
-
-    sp = sub.add_parser("order",
-                        help="s-ordered symbol series of exp(lambda ad^L a ad^R)")
-    _add_word_flags(sp)
-    _add_s_flag(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_order)
-
-    sp = sub.add_parser("power",
-                        help="s-ordered symbol of the single power "
-                             "(ad^L a ad^R)^n")
-    _add_word_flags(sp)
-    sp.add_argument("--n", type=int, required=True, help="the power")
-    _add_s_flag(sp)
-    _add_output_flags(sp, truncated=False)
-    sp.set_defaults(func=_cmd_power)
-
-    sp = sub.add_parser("weyl-aaa",
-                        help="Weyl-ordered symbol of (ad a ad)^n")
-    sp.add_argument("--n", type=int, required=True, help="the power")
-    _add_output_flags(sp, truncated=False)
-    sp.set_defaults(func=_cmd_weyl_aaa)
-
-    sp = sub.add_parser("verify",
-                        help="run a verification suite and report JSON")
-    sp.add_argument("suite", choices=list(SUITES) + ["all"],
-                    help="suite name, or 'all'")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized cases (default 0)")
-    sp.add_argument("--out", metavar="FILE", default=None,
-                    help="write the report to FILE instead of stdout")
-    sp.set_defaults(func=_cmd_verify)
-
-    sp = sub.add_parser("catalog",
-                        help="a classical Sheffer pair and its triangle")
-    sp.add_argument("sequence", choices=CATALOG)
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_catalog)
-
     # argparse only recognizes -1 or -1.5 as values rather than flags; teach
-    # every subparser that -1/3 is a value too, so "--B -1/3" parses.
+    # every parser that -1/3 is a value too, so "--B -1/3" parses.
     rational = re.compile(r"^-\d+(/\d+)?$")
     parser._negative_number_matcher = rational
-    for chosen in sub.choices.values():
-        chosen._negative_number_matcher = rational
-
+    for name, (text, specs, handler) in COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        for flag, kwargs in specs:
+            sp.add_argument(flag, **kwargs)
+        sp._negative_number_matcher = rational
+        sp.set_defaults(func=handler)
     return parser
 
 

@@ -9,7 +9,9 @@ the operator-ordering convention:
     s = +1  anti-normal order   (annihilators to the left)
 
 Keeping s symbolic by default means one computation covers the whole family;
-a numeric choice of s is an evaluation, never a separate code path.
+a numeric choice of s gives the symbolic result evaluated at s.  Numeric s
+may take faster integer lanes, but the kernels pick them from the data
+(constants only), never from an option.
 
 Rationals are ``fractions.Fraction`` throughout (exact, lowest terms,
 positive denominator).  Serialized rationals are strings "p/q" or "p".

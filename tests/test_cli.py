@@ -7,6 +7,7 @@ import doctest
 import gc
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from bosonorder import cli
+from bosonorder.cli import COMMANDS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 GOLDEN = json.loads((Path(__file__).resolve().parent / "golden" / "cli.json")
@@ -292,3 +294,60 @@ def test_main_leaves_no_parser_garbage(capsys):
         del gc.garbage[start:]
     capsys.readouterr()
     assert parsers == []
+
+
+# A shortest valid command line for every subcommand.
+MINIMAL_ARGV = {
+    "hs-triangle": ["--A", "0", "--B", "1", "--r", "0"],
+    "hs-egf": ["--A", "0", "--B", "1", "--r", "0"],
+    "two-point-egf": ["--A", "0", "--B", "1", "--r", "0", "--r-prime", "1"],
+    "order": ["--L", "1", "--R", "0"],
+    "power": ["--L", "1", "--R", "0", "--n", "2"],
+    "weyl-aaa": ["--n", "2"],
+    "verify": ["katriel"],
+    "catalog": ["abel"],
+}
+
+
+def test_parser_subcommands_are_the_registry():
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(COMMANDS)
+    assert set(MINIMAL_ARGV) == set(COMMANDS)
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_help_lists_the_registered_flags_in_order(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([name, "--help"])
+    assert exc.value.code == 0
+    # each argument's help entry starts a line indented by two spaces; a
+    # positional with choices is shown as its choices in braces
+    shown = [m for m in re.findall(r"^  (\S+)", capsys.readouterr().out,
+                                   re.M) if m != "-h,"]
+    _, specs, _ = COMMANDS[name]
+    assert shown == [flag if flag.startswith("-") or "choices" not in kw
+                     else "{" + ",".join(kw["choices"]) + "}"
+                     for flag, kw in specs]
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_minimal_argv_dispatches_to_the_registered_handler(name):
+    args = cli.build_parser().parse_args([name, *MINIMAL_ARGV[name]])
+    assert args.command == name
+    assert args.func is COMMANDS[name][2]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["power", "--L", "1", "--R", "1", "--n", "2", "--s", "-2/5"],
+     "2,0,-13/25\n3,1,8/5\n4,2,1\n"),
+    (["two-point-egf", "--A", "1", "--B", "-1/3", "--r", "-5/3",
+      "--r-prime", "-2/7", "--s", "-1/7", "--N", "2"],
+     "1\n-43/49,1\n640/7203,-122/147,1/2\n")])
+def test_negative_fractions_are_values(capsys, argv, expected):
+    """A negative fraction after a flag is its value, as after "--B="."""
+    assert run_cli(capsys, *argv, "--format", "csv") == (0, expected)
+    pairs = iter(argv[1:])
+    joined = [f"{flag}={value}" for flag, value in zip(pairs, pairs)]
+    assert run_cli(capsys, argv[0], *joined, "--format", "csv") == \
+        (0, expected)
