@@ -6,11 +6,11 @@ pure series in d/dt) and a raising operator M with P s_n = n s_{n-1} and
 M s_n = s_{n+1}.
 """
 
-from bosonorder import array_coeffs, catalog, ladder_apply
+from bosonorder import array_coeffs, catalog, group_inverse, ladder_apply
 
 for name in ("touchard", "hermite", "laguerre", "abel"):
     pair = catalog(name, 8)
-    tri = array_coeffs(pair, 5)
+    tri = array_coeffs(group_inverse(pair), 5)
     print(f"== {name} ==")
     for n in range(6):
         row = ", ".join(str(c) for c in tri.row_poly(n))

@@ -8,7 +8,7 @@ lowering series satisfies an explicit quartic that degenerates at s = +-1.
 
 from bosonorder import (HSParams, SPoly, TwoPointParams, closed_form_e1,
                         hs_pair, quartic_leading_coeffs, quartic_residual,
-                        as_riordan, two_point_egf, two_point_pair)
+                        group_inverse, two_point_egf, two_point_pair)
 
 s = SPoly.s()
 N = 6
@@ -21,15 +21,15 @@ print("row 2 polynomial:", [str(c) for c in egf.row_poly(2)])
 
 print()
 print("== endpoint collapse ==")
-minus = as_riordan(two_point_pair(TwoPointParams(2, 1, -1, 3, -1), N))
-plus = as_riordan(two_point_pair(TwoPointParams(2, 1, -1, 3, 1), N))
+minus = group_inverse(two_point_pair(TwoPointParams(2, 1, -1, 3, -1), N))
+plus = group_inverse(two_point_pair(TwoPointParams(2, 1, -1, 3, 1), N))
 print("s = -1 equals HS(-2, 1, 3):", minus == hs_pair(HSParams(-2, 1, 3), N))
 print("s = +1 equals HS(2, -1, -1):", plus == hs_pair(HSParams(2, -1, -1), N))
 
 print()
 print("== excess e = 1: radical closed forms ==")
 closed = closed_form_e1(1, 1, s, N)
-direct = as_riordan(two_point_pair(TwoPointParams(1, 1, -1, 1, s), N))
+direct = group_inverse(two_point_pair(TwoPointParams(1, 1, -1, 1, s), N))
 print("gbar = (1 + 2sz + z^2)^(-1/2):", closed.first)
 print("matches series reversion     :", closed == direct)
 

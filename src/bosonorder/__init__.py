@@ -18,8 +18,8 @@ from .weyl import (AntiNormalForm, ClassicalPoly, NormalForm, Word,
                    anti_normal_order, convert_order, normal_order, s_quantize,
                    s_transform, weyl_quantize_monomial)
 from .riordan import (BivariateEGF, RiordanPair, Triangle, array_coeffs,
-                      as_riordan, catalog, group_inverse, group_product,
-                      identity_pair, ladder_apply, pair_to_egf)
+                      catalog, group_inverse, group_product, identity_pair,
+                      ladder_apply, pair_to_egf)
 from .hsu_shiue import (HSParams, hs_coeff_sum, hs_egf, hs_pair,
                         hs_pde_residual, hs_triangle_rec)
 from .two_point import (TwoPointParams, closed_form_e1, quartic_leading_coeffs,

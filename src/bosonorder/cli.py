@@ -25,7 +25,7 @@ import re
 import sys
 
 from .scalars import as_s, parse_rational
-from .riordan import CATALOG, array_coeffs, catalog
+from .riordan import CATALOG, array_coeffs, catalog, group_inverse
 from .hsu_shiue import HSParams, hs_egf, hs_triangle_rec
 from .two_point import TwoPointParams, two_point_egf
 from .ordering import (SingleAnnihilatorWord, power_symbol, s_ordered_symbol,
@@ -193,9 +193,10 @@ def _cmd_verify(args) -> int:
           ("sequence", dict(choices=CATALOG)), *_OUTPUT, _N)
 def _cmd_catalog(args) -> int:
     pair = catalog(args.sequence, args.N)
-    return _output(args, array_coeffs(pair, args.N), _triangle_csv,
+    tri = array_coeffs(group_inverse(pair), args.N)
+    return _output(args, tri, _triangle_csv,
                    lambda tri: {"sequence": args.sequence,
-                                "convention": pair.convention,
+                                "convention": "sheffer",
                                 "g": pair.first.to_json(),
                                 "f": pair.second.to_json(),
                                 "triangle": tri.to_json()})

@@ -18,10 +18,11 @@ the outer series), and one reciprocal finishes it, with no composition.
 
 A sequence is Sheffer for the pair [g, f] (acting by the derivative D)
 exactly when its coefficient array is the exponential Riordan array of the
-group inverse of [g, f].  A :class:`RiordanPair` therefore carries a
-``convention`` tag saying which of the two descriptions its series are;
-:func:`as_riordan` reaches the array description by one group inversion,
-and the exponential triangle is read off the columns d h^k by one loop.
+group inverse of [g, f].  A :class:`RiordanPair` is just two series, and
+each function reads it one fixed way: ``pair_to_egf`` and ``array_coeffs``
+as the array [d, h], ``sheffer_row``, ``ladder_apply`` and
+``raising_series`` as the Sheffer pair [g, f], and the group operations
+either way.
 
 Ladder operators: if s_n is Sheffer for [g, f] then
 
@@ -41,27 +42,17 @@ from math import factorial
 from .scalars import SPoly, as_spoly, dot
 from .series import Series
 
-RIORDAN = "riordan"
-SHEFFER = "sheffer"
-
 
 @dataclass(frozen=True)
 class RiordanPair:
-    """A pair of series with a convention tag.
-
-    convention == "riordan": (first, second) = (d, h), the coefficient-array
-    description.  convention == "sheffer": (first, second) = (g, f), the
-    operator description.  The same sequence's two descriptions are group
-    inverses of each other.
-    """
+    """Two series: the array [d, h] to ``pair_to_egf`` and ``array_coeffs``,
+    the Sheffer pair [g, f] to ``sheffer_row``, ``ladder_apply`` and
+    ``raising_series``; a sequence's two are group inverses of each other."""
 
     first: Series
     second: Series
-    convention: str = RIORDAN
 
     def __post_init__(self):
-        if self.convention not in (RIORDAN, SHEFFER):
-            raise ValueError(f"unknown convention {self.convention!r}")
         if self.first.order != self.second.order:
             raise ValueError("pair series must share a truncation order")
         if self.first[0] != 1:
@@ -76,42 +67,31 @@ class RiordanPair:
         return self.first.order
 
     def eval_s(self, value) -> "RiordanPair":
-        return RiordanPair(self.first.eval_s(value), self.second.eval_s(value),
-                           self.convention)
+        return RiordanPair(self.first.eval_s(value), self.second.eval_s(value))
 
 
 def identity_pair(order: int) -> RiordanPair:
-    return RiordanPair(Series.one(order), Series.variable(order), RIORDAN)
+    return RiordanPair(Series.one(order), Series.variable(order))
 
 
 def group_product(p1: RiordanPair, p2: RiordanPair) -> RiordanPair:
-    """Group product of two pairs, both in Riordan convention."""
-    if p1.convention != RIORDAN or p2.convention != RIORDAN:
-        raise ValueError("group_product expects both pairs in Riordan convention")
+    """Group product [(d2 o h1) d1, h2 o h1] of two pairs."""
     d = p2.first.compose(p1.second) * p1.first
     h = p2.second.compose(p1.second)
-    return RiordanPair(d, h, RIORDAN)
+    return RiordanPair(d, h)
 
 
 def group_inverse(p: RiordanPair) -> RiordanPair:
-    """Group inverse of a pair, keeping its convention tag.
+    """Group inverse: the array [d, h] of a Sheffer pair [g, f], and back.
 
     One Lagrange pass, ``Series.revert`` with d as the outer series, gives
     hbar and d o hbar from the same powers (z/h)^n; one reciprocal then
     finishes the pair, with no composition.
     """
     if p.order == 0:
-        return RiordanPair(Series.one(0), Series.zero(0), p.convention)
+        return RiordanPair(Series.one(0), Series.zero(0))
     hbar, d_hbar = p.second.revert(p.first)
-    return RiordanPair(d_hbar.reciprocal(), hbar, p.convention)
-
-
-def as_riordan(p: RiordanPair) -> RiordanPair:
-    """The Riordan-convention description of the same sequence."""
-    if p.convention == RIORDAN:
-        return p
-    q = group_inverse(p)
-    return RiordanPair(q.first, q.second, RIORDAN)
+    return RiordanPair(d_hbar.reciprocal(), hbar)
 
 
 @dataclass
@@ -208,14 +188,13 @@ class BivariateEGF:
 
 
 def pair_to_egf(p: RiordanPair, N: int) -> BivariateEGF:
-    """Expand d(z) exp(t h(z)) through z^N for a pair (any convention).
+    """Expand d(z) exp(t h(z)) through z^N for the array [d, h].
 
     Row n holds (1/k!) [z^n] d h^k for k <= n, read off the columns d h^k.
     With H = h/z, [z^n] d h^k = [z^(n-k)] d H^k, so column k is d H^k
     carried only at order N - k: each step multiplies at the next lower
     order and visits none of the k leading zeros of d h^k at order N.
     """
-    p = as_riordan(p)
     if N > p.order:
         raise ValueError(f"truncation order {p.order} insufficient for N={N}")
     acc = p.first.truncate(N)
@@ -243,8 +222,6 @@ def sheffer_row(p: RiordanPair, n: int) -> list:
     so entry k is n!/k! times that: one power of phi and two products at
     order n, no reversion, no composition and no other row.
     """
-    if p.convention != SHEFFER:
-        raise ValueError("sheffer_row expects a Sheffer-convention pair")
     if p.order < n + 1:
         raise ValueError(f"truncation order {p.order} insufficient for row {n}")
     f = p.second
@@ -256,7 +233,7 @@ def sheffer_row(p: RiordanPair, n: int) -> list:
 
 
 def array_coeffs(p: RiordanPair, N: int) -> Triangle:
-    """The coefficient triangle s_{n,k} = (n!/k!) [z^n] d h^k through row N."""
+    """The triangle (n!/k!) [z^n] d h^k of the array [d, h] through row N."""
     return pair_to_egf(p, N).to_triangle()
 
 
@@ -292,8 +269,6 @@ def ladder_apply(p: RiordanPair, which: str, poly) -> list:
     D^d, so the pair needs order d, and raising reads 1/f' and g'/g through
     D^d, so it needs order d + 1.  Returns a trimmed coefficient list.
     """
-    if p.convention != SHEFFER:
-        raise ValueError("ladder_apply expects a Sheffer-convention pair")
     coeffs = list(_tp_trim(as_spoly(c) for c in poly))
     d = max(len(coeffs) - 1, 0)
     if which == "lowering":
@@ -330,8 +305,8 @@ CATALOG = {
 
 
 def catalog(name: str, N: int) -> RiordanPair:
-    """The Sheffer-convention pair of the :data:`CATALOG` sequence ``name``."""
+    """The Sheffer pair [g, f] of the :data:`CATALOG` sequence ``name``."""
     if name not in CATALOG:
         raise ValueError(f"unknown catalog sequence {name!r}; "
                          f"available: {', '.join(CATALOG)}")
-    return RiordanPair(*CATALOG[name](Series.variable(N)), SHEFFER)
+    return RiordanPair(*CATALOG[name](Series.variable(N)))

@@ -27,6 +27,15 @@ and the same with r' in place of r, while
 Every coefficient is a product of linear factors, so one formula holds at
 every (A, B), the limits A = 0 and B = 0 included.
 
+For a word (A, B, r, r') = (e, 1, -L, R) everything is integral in w-:
+n! [z^n] of g, f, gbar and fbar lie in Z[w-], of degree at most n, n - 1,
+n and n - 1.  Hurwitz series over a ring stay Hurwitz under products,
+reciprocals and reversion (Keigher, Comm. Algebra 25, 1997), and entry
+(n, k) of the array is a partial Bell polynomial with integer coefficients
+in them (Comtet, Advanced Combinatorics, 1974, sec. 3.3), so it lies in
+Z[w-] with degree at most n - k: at w- = a/b in lowest terms, b^(n-k)
+times the entry is an integer.
+
 At the endpoints the family collapses onto the one-point one:
 
     T(A, B, r, r'; -1) = HS(-A, B, r')        T(A, B, r, r'; +1) = HS(A, -B, r)
@@ -46,7 +55,7 @@ from fractions import Fraction
 
 from .scalars import SPoly, as_s
 from .series import Series
-from .riordan import SHEFFER, BivariateEGF, RiordanPair, as_riordan, pair_to_egf
+from .riordan import BivariateEGF, RiordanPair, group_inverse, pair_to_egf
 
 
 @dataclass(frozen=True)
@@ -72,7 +81,7 @@ class TwoPointParams:
 
 
 def two_point_pair(p: TwoPointParams, N: int) -> RiordanPair:
-    """The Sheffer-convention pair [g, f] of the two-point family, order N."""
+    """The Sheffer pair [g, f] of the two-point family, at order N."""
     wp = (1 + p.s) / 2
     wm = (1 - p.s) / 2
 
@@ -88,14 +97,13 @@ def two_point_pair(p: TwoPointParams, N: int) -> RiordanPair:
         up, down = up * wp, -(down * wm)
         f.append((up - down) * fall)
         fall = fall * (p.A + n * p.B) / (n + 1)
-    return RiordanPair(g, Series(f, N), SHEFFER)
+    return RiordanPair(g, Series(f, N))
 
 
 def two_point_egf(p: TwoPointParams, N: int) -> BivariateEGF:
     """The bivariate EGF gbar(z) exp(t fbar(z)), with [gbar, fbar] the group
-    inverse of the Sheffer pair [g, f]; ``pair_to_egf`` does the group
-    inversion, and fbar comes from series reversion."""
-    return pair_to_egf(two_point_pair(p, N), N)
+    inverse of the Sheffer pair [g, f]; fbar comes from series reversion."""
+    return pair_to_egf(group_inverse(two_point_pair(p, N)), N)
 
 
 def closed_form_e1(L: int, R: int, s, N: int) -> RiordanPair:
@@ -155,7 +163,7 @@ def quartic_residual(L: int, R: int, s, N: int) -> Series:
         raise ValueError("quartic_residual requires L, R >= 0 with L + R = 3")
     s = as_s(s)
     p = TwoPointParams(2, 1, -L, R, s)
-    w = as_riordan(two_point_pair(p, N)).second
+    w = group_inverse(two_point_pair(p, N)).second
     z = Series.variable(N)
     c4, c3 = quartic_leading_coeffs(s)
     w2 = w * w

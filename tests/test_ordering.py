@@ -14,7 +14,7 @@ from bosonorder.ordering import (SingleAnnihilatorWord, SymbolSeries,
                                  s_ordered_symbol, weyl_power_aaa)
 from bosonorder import riordan, scalars
 from bosonorder.hsu_shiue import HSParams, hs_egf
-from bosonorder.riordan import RiordanPair, as_riordan, catalog
+from bosonorder.riordan import RiordanPair, catalog
 from bosonorder.scalars import SPoly
 from bosonorder.series import Series
 from bosonorder.two_point import two_point_egf
@@ -185,7 +185,7 @@ def _random_sheffer_pair(rng, order):
         return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
     g = Series([1] + [coeff() for _ in range(order)], order)
     f = Series([0, 1] + [coeff() for _ in range(order - 1)], order)
-    return RiordanPair(g, f, "sheffer")
+    return RiordanPair(g, f)
 
 
 def test_blasiak_identity_small():
@@ -215,8 +215,6 @@ def test_blasiak_guards():
     pair = catalog("laguerre", 5)
     with pytest.raises(ValueError):
         blasiak_identity_check(pair, 4, 4)  # order too small
-    with pytest.raises(ValueError):
-        blasiak_identity_check(as_riordan(catalog("laguerre", 9)), 4, 4)
 
 
 def test_series_container_guards():

@@ -1,13 +1,15 @@
 """The two-point generalized Stirling family and its radical closed forms."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bosonorder.hsu_shiue import HSParams, hs_pair
-from bosonorder.riordan import (SHEFFER, BivariateEGF, RiordanPair,
-                                _apply_dseries, as_riordan, raising_series)
+from bosonorder.ordering import SingleAnnihilatorWord
+from bosonorder.riordan import (BivariateEGF, RiordanPair, _apply_dseries,
+                                group_inverse, pair_to_egf, raising_series)
 from bosonorder.scalars import SPoly
 from bosonorder.series import Series
 from bosonorder.two_point import (TwoPointParams, closed_form_e1,
@@ -54,7 +56,7 @@ def _two_point_pair_exp_log(p: TwoPointParams, N: int) -> RiordanPair:
     y = -wm * _log1p_over(wm * p.B, N)
     lam = x - y
     g = wp * (-p.r * lam).exp() + wm * (-p.rp * lam).exp()
-    return RiordanPair(g, _expm1_over(x, p.A) - _expm1_over(y, p.A), SHEFFER)
+    return RiordanPair(g, _expm1_over(x, p.A) - _expm1_over(y, p.A))
 
 
 def test_params_coercion():
@@ -67,7 +69,6 @@ def test_pair_shape_all_branches():
     for A, B in ((2, 1), (0, 1), (2, 0), (0, 0)):
         p = TwoPointParams(A, B, -1, 2, S)
         pair = two_point_pair(p, 6)
-        assert pair.convention == "sheffer"
         assert pair.first[0] == 1
         assert pair.second[0] == 0 and pair.second[1] == 1
 
@@ -82,18 +83,18 @@ def test_weyl_point_f_frozen():
 def test_endpoint_reduction_fixed_example():
     # s = -1 collapses to HS(-A, B, r'); s = +1 to HS(A, -B, r)
     A, B, r, rp = Fraction(2), Fraction(1), Fraction(-1), Fraction(3)
-    minus = as_riordan(two_point_pair(TwoPointParams(A, B, r, rp, -1), 7))
+    minus = group_inverse(two_point_pair(TwoPointParams(A, B, r, rp, -1), 7))
     assert minus == hs_pair(HSParams(-A, B, rp), 7)
-    plus = as_riordan(two_point_pair(TwoPointParams(A, B, r, rp, 1), 7))
+    plus = group_inverse(two_point_pair(TwoPointParams(A, B, r, rp, 1), 7))
     assert plus == hs_pair(HSParams(A, -B, r), 7)
 
 
 @given(param_st, param_st, param_st, param_st)
 @settings(max_examples=15, deadline=None)
 def test_endpoint_reduction_random(a, b, r, rp):
-    minus = as_riordan(two_point_pair(TwoPointParams(a, b, r, rp, -1), 5))
+    minus = group_inverse(two_point_pair(TwoPointParams(a, b, r, rp, -1), 5))
     assert minus == hs_pair(HSParams(-a, b, rp), 5)
-    plus = as_riordan(two_point_pair(TwoPointParams(a, b, r, rp, 1), 5))
+    plus = group_inverse(two_point_pair(TwoPointParams(a, b, r, rp, 1), 5))
     assert plus == hs_pair(HSParams(a, -b, r), 5)
 
 
@@ -154,6 +155,40 @@ def test_two_point_pair_matches_exp_log_oracle(a, b, r, rp, s, N):
     assert two_point_pair(p, N) == _two_point_pair_exp_log(p, N)
 
 
+word_st = st.integers(1, 5).flatmap(
+    lambda total: st.integers(0, total).map(
+        lambda L: SingleAnnihilatorWord(L, total - L)))
+
+
+def _integral(c: SPoly) -> bool:
+    return all(x.denominator == 1 for x in c.coeffs)
+
+
+@given(word_st, st.integers(0, 16),
+       st.fractions(min_value=-4, max_value=4, max_denominator=9))
+@example(SingleAnnihilatorWord(0, 5), 16, Fraction(1, 3))
+@example(SingleAnnihilatorWord(5, 0), 16, Fraction(-7, 9))
+@example(SingleAnnihilatorWord(2, 1), 0, Fraction(0))
+@settings(max_examples=30, deadline=None)
+def test_inverted_pair_is_integral_in_w_minus(w, N, wm):
+    # with the symbol standing for w- = (1 - s)/2, array entry (n, k) is in
+    # Z[w-] of degree <= n - k, and so is every n! [z^n] of [gbar, fbar]
+    v = SPoly.s()
+    q = group_inverse(two_point_pair(w.two_point_params(1 - 2 * v), N))
+    egf = pair_to_egf(q, N)
+    for n in range(N + 1):
+        for k, c in enumerate(egf.row_poly(n)):
+            assert _integral(c) and c.degree <= n - k, (n, k, c)
+        for ser in (q.first, q.second):
+            assert _integral(factorial(n) * ser[n]), (n, ser[n])
+    # at w- = a/b in lowest terms, b^(n-k) times entry (n, k) is an integer
+    egf = two_point_egf(w.two_point_params(1 - 2 * wm), N)
+    for n in range(N + 1):
+        for k, c in enumerate(egf.row_poly(n)):
+            scaled = wm.denominator ** (n - k) * c.as_rational()
+            assert scaled.denominator == 1, (n, k, c)
+
+
 def test_interpolation_in_s_row_one():
     # the row-1 constant interpolates between the two one-point anchors:
     # r' of HS(-A, B, r') at s = -1 and r of HS(A, -B, r) at s = +1
@@ -167,15 +202,15 @@ def test_interpolation_in_s_row_one():
 @pytest.mark.parametrize("L,R", [(2, 0), (1, 1), (0, 2)])
 def test_e1_closed_forms_match_inversion(L, R):
     closed = closed_form_e1(L, R, S, 8)
-    inverted = as_riordan(two_point_pair(TwoPointParams(1, 1, -L, R, S), 8))
+    inverted = group_inverse(two_point_pair(TwoPointParams(1, 1, -L, R, S), 8))
     assert closed.first == inverted.first
     assert closed.second == inverted.second
 
 
 def test_e1_closed_forms_at_safe_numeric_points():
-    assert closed_form_e1(2, 0, -1, 6) == as_riordan(
+    assert closed_form_e1(2, 0, -1, 6) == group_inverse(
         two_point_pair(TwoPointParams(1, 1, -2, 0, -1), 6))
-    assert closed_form_e1(0, 2, 1, 6) == as_riordan(
+    assert closed_form_e1(0, 2, 1, 6) == group_inverse(
         two_point_pair(TwoPointParams(1, 1, 0, 2, 1), 6))
 
 
@@ -192,7 +227,7 @@ def test_symbolic_closed_form_evaluates_to_the_limit():
     # the symbolic (2,0) form is finite at s = 1 even though the printed
     # formula is 0/0 there; it must still agree with the inverted pair
     lim = closed_form_e1(2, 0, S, 7).eval_s(1)
-    direct = as_riordan(two_point_pair(TwoPointParams(1, 1, -2, 0, 1), 7))
+    direct = group_inverse(two_point_pair(TwoPointParams(1, 1, -2, 0, 1), 7))
     assert lim == direct
 
 
