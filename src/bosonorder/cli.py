@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .scalars import as_s, parse_rational
 from .riordan import CATALOG, array_coeffs, catalog, group_inverse
@@ -45,13 +45,52 @@ def _emit(text: str, out) -> None:
             fh.write(text)
 
 
+def _json_text(obj, pad: str = "\n") -> str:
+    r"""``json.dumps(obj, indent=2)`` for dicts with str keys, lists, strs
+    and ints, the only types the CLI prints; strings go through the C
+    escaper, and any other type raises TypeError.  ``pad`` is the line
+    break and indent of the enclosing level.
+
+    >>> print(_json_text({"n": [1, "é"], "m": {}}))
+    {
+      "n": [
+        1,
+        "\u00e9"
+      ],
+      "m": {}
+    }
+    """
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if kind is list:
+        if not obj:
+            return "[]"
+        body = [_quote(x) if type(x) is str else _json_text(x, inner)
+                for x in obj]
+        return "[" + inner + ("," + inner).join(body) + pad + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        if any(type(k) is not str for k in obj):
+            raise TypeError("CLI JSON keys must be strs")
+        body = [_quote(k) + ": " + (_quote(v) if type(v) is str else
+                                    _json_text(v, inner))
+                for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(body) + pad + "}"
+    raise TypeError(f"cannot write {kind.__name__} as CLI JSON")
+
+
 def _output(args, result, csv, to_json=None) -> int:
     """Write ``result`` to --out FILE or stdout: ``csv(result)`` under
     --format csv, else the JSON of ``to_json(result)`` or of
     ``result.to_json()``.  Exit code 0."""
     _emit(csv(result) if args.format == "csv" else
-          json.dumps(to_json(result) if to_json else result.to_json(),
-                     indent=2), args.out)
+          _json_text(to_json(result) if to_json else result.to_json()),
+          args.out)
     return 0
 
 
@@ -185,7 +224,7 @@ def _cmd_verify(args) -> int:
     else:
         reports = run_suite(args.suite, args.seed)
         ok = suite_passed(reports)
-    _emit(json.dumps(reports, indent=2), args.out)
+    _emit(_json_text(reports), args.out)
     return 0 if ok else 1
 
 

@@ -16,7 +16,12 @@ reduces it to lowest terms once, not once per term.  A product whose
 factors are all constants (every product at numeric s) goes through
 :func:`~bosonorder.scalars.convolve` instead: each factor is put over the
 lcm of its denominators once, and each coefficient is one integer sum of
-products, reduced by one gcd.
+products, reduced by one gcd.  A reciprocal over Q takes the same integer
+lane, 1/f = d/(sum_k A_k z^k) with d the lcm of f's denominators, by a
+triangular solve on the integers A_k; so does the binomial series at
+constant c and a, whose coefficient n is one integer product over L^n n!
+with L the lcm of the two denominators.  Neither lane calls ``dot`` or
+multiplies an SPoly.
 Composition is Horner's rule with truncated steps: the partial sum that has
 just taken f_k is later multiplied by inner^k, so it is carried only to order
 N - k.  Reversion is Lagrange inversion, g_n = (1/n) [z^(n-1)] (z/f)^n
@@ -28,8 +33,9 @@ composed with the inverse, u(g), by the Lagrange-Bürmann formula.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
-from .scalars import (SPoly, as_spoly, convolve, dot, format_power,
+from .scalars import (SPoly, _over_lcm, as_spoly, convolve, dot, format_power,
                       format_terms)
 
 
@@ -77,15 +83,27 @@ class Series:
         """(1 + c z)^(a/c) = sum_n (a | c)_n z^n/n! for c and a in Q[s], with
         the generalized factorial (a | c)_n = a (a - c) ... (a - (n-1) c).
 
-        Each coefficient is one product step from the one before,
-        t_n = t_(n-1) (a - (n-1) c)/n, so at c = 0 the same loop gives
-        e^(a z), and nothing is divided by c.
+        At constant c and a (every call at numeric s), both are put over
+        their lcm L, c = gamma/L and a = alpha/L, and coefficient n is
+        prod_(j<n) (alpha - j gamma) / (L^n n!): one integer product and
+        one reduction by a gcd each.  Over Q[s] each coefficient is one
+        product step from the one before, t_n = t_(n-1) (a - (n-1) c)/n.
+        Either way c = 0 gives e^(a z), and nothing is divided by c.
 
         >>> print(Series.binomial(2, 1, 3))
         1 + z - 1/2*z^2 + 1/2*z^3 + O(z^4)
         """
-        c, step = as_spoly(c), as_spoly(a)
+        c, a = as_spoly(c), as_spoly(a)
         out = [SPoly.const(1)]
+        if c.is_rational() and a.is_rational():
+            (gamma, alpha), lcd = _over_lcm((c, a))
+            num, den = 1, 1
+            for n in range(1, order + 1):
+                num *= alpha - (n - 1) * gamma
+                den *= lcd * n
+                out.append(SPoly.ratio(num, den))
+            return Series(out, order)
+        step = a
         for n in range(1, order + 1):
             out.append(out[-1] * step / n)
             step = step - c
@@ -169,16 +187,47 @@ class Series:
         return out
 
     def reciprocal(self) -> "Series":
-        """1/f for f with invertible (nonzero rational) constant term."""
-        a0 = self.coeffs[0]
-        if not a0.is_rational() or a0.is_zero():
+        """1/f for f with invertible (nonzero rational) constant term.
+
+        When every coefficient is a constant (a reciprocal over Q), f is put
+        over the lcm d of its denominators once, f = (1/d) sum_k A_k z^k
+        with integers A_k, and 1/f has coefficient n = d C_n / A_0^(n+1)
+        with C_0 = 1 and C_n = -sum_(k>=1) A_k A_0^(k-1) C_(n-k): one integer
+        sum of products per coefficient, reduced by one gcd.  Otherwise
+        coefficient n is one :func:`~bosonorder.scalars.dot`,
+        -(1/f_0) sum_(k>=1) f_k (1/f)_(n-k).
+
+        >>> print((3 - Series.variable(3)).reciprocal())
+        1/3 + 1/9*z + 1/27*z^2 + 1/81*z^3 + O(z^4)
+        """
+        cs = self.coeffs
+        if not cs[0].is_rational() or cs[0].is_zero():
             raise ValueError(
-                f"constant term {a0} is not invertible; cannot take reciprocal"
+                f"constant term {cs[0]} is not invertible; cannot take reciprocal"
             )
-        inv0 = 1 / a0.as_rational()
+        if all(c.is_rational() for c in cs):
+            a, d = _over_lcm(cs)
+            a0 = a[0]
+            # b_k = A_(k+1) A_0^k, and each C_n is one sum against C reversed
+            b, p = [], 1
+            for x in a[1:]:
+                b.append(x * p)
+                p *= a0
+            C = [1]
+            for n in range(1, self.order + 1):
+                C.append(-sum(map(mul, b, reversed(C))))
+            # d C_n / A_0^(n+1), the sign of A_0^(n+1) moved to the numerator
+            sign = -1 if a0 < 0 else 1
+            num, den, out = d * sign, abs(a0), []
+            for cn in C:
+                out.append(SPoly.ratio(num * cn, den))
+                num *= sign
+                den *= abs(a0)
+            return Series(out, self.order)
+        inv0 = 1 / cs[0].as_rational()
         out = [SPoly.const(inv0)]
         for n in range(1, self.order + 1):
-            out.append(-inv0 * dot(self.coeffs[1:n + 1], out[::-1]))
+            out.append(-inv0 * dot(cs[1:n + 1], out[::-1]))
         return Series(out, self.order)
 
     def __truediv__(self, other):

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from bosonorder import cli
 from bosonorder.cli import COMMANDS
@@ -200,6 +201,48 @@ def test_verify_reports_and_exit_codes(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_suite", fake)
     code, out = run_cli(capsys, "verify", "katriel")
     assert code == 1
+
+
+# text with quotes, backslashes, control characters and non-ASCII, with an
+# astral character that json escapes as a surrogate pair
+json_str_st = st.text(st.one_of(st.characters(),
+                                st.sampled_from('"\\/\n\t\x00\x1f\x7f\u2028é😀')),
+                      max_size=6)
+json_st = st.recursive(
+    st.one_of(st.integers(), json_str_st),
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.dictionaries(json_str_st, kids, max_size=4)),
+    max_leaves=40)
+
+
+@given(json_st)
+@example([])
+@example({})
+@example({"a": [[{"b": [[], {}, -3, {"c": ["d\"\\\u0001é"]}]}]], "": 0})
+@example([[[[[[["deep"]]]]]], 10 ** 40, -0])
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [1.5, True, None, [1, {"k": None}],
+                                 {"k": [False]}, {1: "one"}, ("a",)],
+                         ids=["float", "bool", "None", "nested-None",
+                              "nested-bool", "int-key", "tuple"])
+def test_json_writer_refuses_other_types(obj):
+    with pytest.raises(TypeError):
+        cli._json_text(obj)
+
+
+def test_cli_json_does_not_call_json_dumps(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CLI called json.dumps")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    code, out = run_cli(capsys, "order", "--L", "1", "--R", "2",
+                        "--s", "1/3", "--N", "3")
+    assert code == 0 and json.loads(out)["trunc_order"] == 3
+    code, out = run_cli(capsys, "verify", "katriel")
+    assert code == 0 and json.loads(out)["suite"] == "katriel"
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=GOLDEN_IDS)

@@ -1,11 +1,12 @@
 """Truncated power series: ring structure, composition, reversion, exp/log."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bosonorder import scalars
+from bosonorder import scalars, series
 from bosonorder.scalars import SPoly, dot
 from bosonorder.series import Series
 
@@ -311,6 +312,63 @@ def test_reciprocal_matches_the_term_by_term_solve(c, f):
     assert f.reciprocal() == _reciprocal_by_terms(f)
 
 
+@settings(deadline=None)
+@given(q_series_st.filter(lambda f: not f[0].is_zero()))
+@example(Series([-1, Fraction(1, 2), 0, 3], 3))
+@example(Series([Fraction(-7, 3), Fraction(5, 11), Fraction(-1, 6)], N))
+@example(Series([Fraction(-7, 3)], 0))
+@example(Series([Fraction(4, 9), 0, 0, Fraction(-2, 15), 1], 4))
+def test_reciprocal_over_q_never_reaches_dot(f):
+    want = _reciprocal_by_terms(f)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalars, "dot", _refuse_dot)
+        mp.setattr(series, "dot", _refuse_dot)
+        got = f.reciprocal()
+    assert got == want
+    assert f * got == Series.one(f.order)
+
+
+@st.composite
+def symbolic_reciprocal_st(draw):
+    """A series over Q with a nonzero constant term, at order >= 1, with one
+    later coefficient replaced by a polynomial of degree 1 in s."""
+    order = draw(st.integers(1, N))
+    cs = [draw(q_coeff_st.filter(bool))] + draw(
+        st.lists(q_coeff_st, min_size=order, max_size=order))
+    cs[draw(st.integers(1, order))] = SPoly(
+        (draw(q_coeff_st), draw(q_coeff_st.filter(bool))))
+    return Series(cs, order)
+
+
+@settings(deadline=None)
+@given(symbolic_reciprocal_st())
+@example(Series([Fraction(-7, 3), SPoly.s()], 1))
+def test_reciprocal_with_a_symbolic_coefficient_goes_through_dot(f):
+    calls = []
+
+    def counted(xs, ys):
+        calls.append(len(xs))
+        return dot(xs, ys)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "dot", counted)
+        got = f.reciprocal()
+    assert got == _reciprocal_by_terms(f)
+    assert calls == list(range(1, f.order + 1))
+
+
+@pytest.mark.parametrize("c0", [SPoly(), SPoly.s(), 1 + SPoly.s()],
+                         ids=["zero", "s", "1+s"])
+@pytest.mark.parametrize("rest", [(), (Fraction(1, 2), SPoly.s())],
+                         ids=["order-0", "order-2"])
+def test_reciprocal_refuses_a_constant_term_it_cannot_invert(c0, rest):
+    f = Series((c0,) + rest, len(rest))
+    with pytest.raises(ValueError,
+                       match=f"^constant term {re.escape(str(c0))} is not "
+                             "invertible; cannot take reciprocal$"):
+        f.reciprocal()
+
+
 @given(inner_st)
 def test_log_inverts_exp(u):
     assert u.exp().log() == u
@@ -339,6 +397,38 @@ def test_binomial_is_exp_of_a_scaled_log(c, a):
     z = Series.variable(N)
     want = (a * z).exp() if c == 0 else ((1 + c * z).log() * (a / c)).exp()
     assert Series.binomial(c, a, N) == want
+
+
+def _binomial_by_steps(c, a, order: int) -> Series:
+    """(1 + c z)^(a/c) by the product step t_n = t_(n-1) (a - (n-1) c)/n."""
+    c, step = SPoly.const(c), SPoly.const(a)
+    out = [SPoly.const(1)]
+    for n in range(1, order + 1):
+        out.append(out[-1] * step / n)
+        step = step - c
+    return Series(out, order)
+
+
+@settings(deadline=None)
+@given(q_coeff_st, q_coeff_st, st.integers(0, 2 * N))
+@example(Fraction(0), Fraction(5, 3), N)
+@example(Fraction(2, 7), Fraction(0), N)
+@example(Fraction(0), Fraction(0), 3)
+@example(Fraction(-3, 4), Fraction(-5, 9), 2 * N)
+@example(Fraction(1, 3), Fraction(2), N)  # a/c = 6: a polynomial
+@example(Fraction(5, 6), Fraction(-1, 10), 0)
+def test_binomial_over_q_matches_the_product_steps(c, a, order):
+    def refuse(name):
+        def method(self, other):
+            raise AssertionError(f"the binomial lane called SPoly.{name}")
+        return method
+
+    want = _binomial_by_steps(c, a, order)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("__mul__", "__rmul__", "__truediv__"):
+            mp.setattr(SPoly, name, refuse(name))
+        got = Series.binomial(c, a, order)
+    assert got == want
 
 
 def test_binomial_generalized_factorials_in_s():
