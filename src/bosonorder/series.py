@@ -20,8 +20,11 @@ products, reduced by one gcd.  A reciprocal over Q takes the same integer
 lane, 1/f = d/(sum_k A_k z^k) with d the lcm of f's denominators, by a
 triangular solve on the integers A_k; so does the binomial series at
 constant c and a, whose coefficient n is one integer product over L^n n!
-with L the lcm of the two denominators.  Neither lane calls ``dot`` or
-multiplies an SPoly.
+with L the lcm of the two denominators.  Reversion over Q takes it too:
+z/f is put over the lcm d of its denominators once, z/f = P/d, and each
+power (z/f)^n is the integer list P^n over d^n, one integer convolution
+per n with no gcd, read off with one reduction per coefficient.  None of
+these lanes calls ``dot`` or multiplies an SPoly.
 Composition is Horner's rule with truncated steps: the partial sum that has
 just taken f_k is later multiplied by inner^k, so it is carried only to order
 N - k.  Reversion is Lagrange inversion, g_n = (1/n) [z^(n-1)] (z/f)^n
@@ -285,9 +288,17 @@ class Series:
         reciprocal at order N - 1, and one running product P = phi^n gives
         every g_n, so reversion costs N products, O(N^3), and no composition.
         The Lagrange-Bürmann formula (Stanley, EC2, sec. 5.4) reads u o g off
-        the same powers, [z^n] u(g) = (1/n) [z^(n-1)] u' phi^n for n >= 1:
-        one more :func:`~bosonorder.scalars.dot` per n, at the order
-        min(N, u.order).
+        the same powers, [z^n] u(g) = (1/n) [z^(n-1)] u' phi^n for n >= 1,
+        at the order min(N, u.order).
+
+        When every coefficient of f and of u' is a constant (every call at
+        numeric s), phi = P/d_phi and u' = D/d_u go over the lcms of their
+        denominators once, and phi^n is carried as the integer list P^n over
+        d_phi^n: each step is one integer convolution with P and no gcd.
+        Then g_n = P^n_(n-1)/(n d_phi^n), and [z^n] u(g) is one integer dot
+        of D with P^n over n d_phi^n d_u, each reduced once.  Otherwise each
+        step is a Series product and [z^n] u(g) one
+        :func:`~bosonorder.scalars.dot`.
 
         >>> z = Series.variable(4)
         >>> print((1 + z).log().revert())
@@ -302,20 +313,37 @@ class Series:
         c1 = self.coeffs[1]
         if not c1.is_rational() or c1.is_zero():
             raise ValueError(f"linear coefficient {c1} is not invertible")
-        phi = Series(self.coeffs[1:], self.order - 1).reciprocal()
+        N = self.order
+        phi = Series(self.coeffs[1:], N - 1).reciprocal()
         u = Series.zero(0) if outer is None else outer  # order 0: no dots
-        m = min(self.order, u.order)
-        du = [k * c for k, c in enumerate(u.coeffs) if k]  # u'
+        m = min(N, u.order)
+        us = u.coeffs[1:m + 1]
         g, ug = [SPoly()], [u.coeffs[0]]
-        power = phi
-        for n in range(1, self.order + 1):
-            p = power.coeffs
-            g.append(p[n - 1] / n)
-            if n <= m:
-                ug.append(dot(du[:n], p[n - 1::-1]) / n)
-            if n < self.order:
-                power = power * phi
-        g = Series(g, self.order)
+        if all(c.is_rational() for c in phi.coeffs + us):
+            P, d_phi = _over_lcm(phi.coeffs)
+            U, d_u = _over_lcm(us)
+            D = [k * x for k, x in enumerate(U, 1)]
+            power, den = P, d_phi
+            for n in range(1, N + 1):
+                g.append(SPoly.ratio(power[n - 1], n * den))
+                if n <= m:
+                    ug.append(SPoly.ratio(sum(map(mul, D, power[n - 1::-1])),
+                                          n * den * d_u))
+                if n < N:
+                    power = [sum(map(mul, power[:k + 1], P[k::-1]))
+                             for k in range(N)]
+                    den *= d_phi
+        else:
+            du = [k * c for k, c in enumerate(us, 1)]  # u'
+            power = phi
+            for n in range(1, N + 1):
+                p = power.coeffs
+                g.append(p[n - 1] / n)
+                if n <= m:
+                    ug.append(dot(du[:n], p[n - 1::-1]) / n)
+                if n < N:
+                    power = power * phi
+        g = Series(g, N)
         return g if outer is None else (g, Series(ug, m))
 
     # -- exp, log, rational powers --------------------------------------

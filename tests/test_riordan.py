@@ -12,13 +12,13 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bosonorder import cli
+from bosonorder import cli, scalars
 from bosonorder.hsu_shiue import HSParams, hs_egf, hs_pair
 from bosonorder.riordan import (CATALOG, BivariateEGF, RiordanPair, Triangle,
                                 array_coeffs, catalog, group_inverse,
                                 group_product, identity_pair,
                                 ladder_apply, pair_to_egf, sheffer_row)
-from bosonorder.scalars import SPoly, binomial
+from bosonorder.scalars import SPoly, binomial, dot
 from bosonorder.series import Series
 from bosonorder.two_point import TwoPointParams, two_point_egf, two_point_pair
 
@@ -275,6 +275,94 @@ def test_pair_to_egf_matches_the_full_order_column_loop(case, n):
         pair = group_inverse(pair)  # the array of a Sheffer pair
     rows = _array_rows_full(pair.first, pair.second, n)
     assert pair_to_egf(pair, n) == BivariateEGF(rows, n)
+
+
+def _pair_to_egf_by_spoly(p, N):
+    """The column loop on SPolys: column k is d H^k, H = h/z, by Series
+    products at falling order, scaled by 1/k! with one SPoly product per
+    entry."""
+    acc = p.first.truncate(N)
+    H = Series(p.second.coeffs[1:N + 1], N - 1) if N else None
+    cols = []
+    for k in range(N + 1):
+        w = SPoly.const(Fraction(1, factorial(k)))
+        cols.append([w * c for c in acc.coeffs])
+        if k < N:
+            acc = Series(acc.coeffs, N - k - 1) * H
+    return BivariateEGF([[cols[k][n - k] for k in range(n + 1)]
+                         for n in range(N + 1)], N)
+
+
+# rationals with zeros, both signs and unrelated denominators
+q_coeff_st = st.one_of(st.just(Fraction(0)),
+                       st.fractions(min_value=-20, max_value=20,
+                                    max_denominator=30))
+
+
+@st.composite
+def q_array_case_st(draw, min_n=0):
+    """(pair, n): an array [d, h] over Q at an order in min_n .. N, and a
+    row count n in min_n .. order."""
+    order = draw(st.integers(min_n, N))
+    d = Series([1] + draw(st.lists(q_coeff_st, max_size=order)), order)
+    h = Series([0, 1] + draw(st.lists(q_coeff_st, max_size=max(order - 1, 0))),
+               order)
+    return RiordanPair(d, h), draw(st.integers(min_n, order))
+
+
+def _refuse(name):
+    def method(self, other):
+        raise AssertionError(f"pair_to_egf called {name}")
+    return method
+
+
+@given(q_array_case_st())
+@example((RiordanPair(Series([1, Fraction(-2, 3)], 1),
+                      Series([0, 1], 1)), 0))  # N = 0: no H
+@example((RiordanPair(Series([1, Fraction(5, 7), 2], 2),
+                      Series([0, 1, Fraction(-1, 6)], 2)), 1))
+# s = +1, where w- = 0: d = 1/(1 + 3z) on integers
+@example((group_inverse(two_point_pair(TwoPointParams(3, 1, -3, 1, 1), N)), N))
+# [1/(1 - z), z/(1 - z)]: every lcm is 1
+@example((group_inverse(catalog("laguerre", N)), N))
+@settings(max_examples=60, deadline=None)
+def test_pair_to_egf_over_q_multiplies_no_spoly(case):
+    pair, n = case
+    want = _pair_to_egf_by_spoly(pair, n)
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in (SPoly, Series):
+            for name in ("__mul__", "__rmul__"):
+                mp.setattr(cls, name, _refuse(f"{cls.__name__}.{name}"))
+        got = pair_to_egf(pair, n)
+    assert got == want
+    assert got == BivariateEGF(_array_rows_full(pair.first, pair.second, n), n)
+
+
+@given(q_array_case_st(min_n=2), st.tuples(q_coeff_st,
+                                           q_coeff_st.filter(bool)))
+@example((RiordanPair(Series([1, 0, 0], 2), Series([0, 1, 0], 2)), 2),
+         (Fraction(0), Fraction(1)))
+@settings(max_examples=30, deadline=None)
+def test_pair_to_egf_with_a_symbolic_entry_goes_through_dot(case, d1):
+    pair, n = case
+    d = list(pair.first.coeffs)
+    d[1] = SPoly(d1)  # [z] d H^k = d_1 + k [z] H keeps s while k < n - 1
+    pair = RiordanPair(Series(d, pair.order), pair.second)
+    calls = []
+
+    def counted(xs, ys):
+        calls.append(len(xs))
+        return dot(xs, ys)
+
+    want = BivariateEGF(_array_rows_full(pair.first, pair.second, n), n)
+    assert want == _pair_to_egf_by_spoly(pair, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalars, "dot", counted)
+        got = pair_to_egf(pair, n)
+    assert got == want
+    # column k + 1 is one product at order n - k - 1 with one dot per
+    # coefficient; the last one, at order 0, is 1 * 1 over Q
+    assert calls == [j for k in range(n - 1) for j in range(1, n - k + 1)]
 
 
 def _case_pair(case, n):

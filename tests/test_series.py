@@ -369,6 +369,99 @@ def test_reciprocal_refuses_a_constant_term_it_cannot_invert(c0, rest):
         f.reciprocal()
 
 
+def _revert_by_dot(f: Series, u=None) -> tuple:
+    """Lagrange inversion with phi^n as a running Series product and
+    [z^n] u(g) as one ``dot`` per n: the pair (g, u o g)."""
+    N = f.order
+    phi = Series(f.coeffs[1:], N - 1).reciprocal()
+    u = Series.zero(0) if u is None else u
+    m = min(N, u.order)
+    du = [k * c for k, c in enumerate(u.coeffs) if k]
+    g, ug = [SPoly()], [u[0]]
+    power = phi
+    for n in range(1, N + 1):
+        p = power.coeffs
+        g.append(p[n - 1] / n)
+        if n <= m:
+            ug.append(dot(du[:n], p[n - 1::-1]) / n)
+        if n < N:
+            power = power * phi
+    return Series(g, N), Series(ug, m)
+
+
+# revertible over Q at orders 1 .. N, the linear coefficient often 1
+q_revertible_st = st.integers(1, N).flatmap(
+    lambda order: st.builds(
+        lambda c, cs: Series([0, c] + cs, order),
+        st.one_of(st.just(Fraction(1)), q_coeff_st.filter(bool)),
+        st.lists(q_coeff_st, max_size=order - 1)))
+
+
+@settings(deadline=None)
+@given(q_revertible_st, q_series_st)
+@example(Series([0, 1], 1), Series([Fraction(2, 3), 5], 1))  # order 1
+@example(Series([0, Fraction(-3, 2), Fraction(1, 3), 0, 4], N),
+         Series([1, Fraction(-1, 5), 0, 7], N))
+@example(Series([0, Fraction(2, 7), 1, Fraction(-5, 6)], N),
+         Series([0, 3, Fraction(1, 4)], 2))  # outer of lower order
+@example(Series([0, Fraction(5, 3), Fraction(-1, 2)], N),
+         Series([Fraction(-4, 9)], 0))  # outer of order 0
+def test_revert_over_q_never_reaches_dot(f, u):
+    want_g, want_ug = _revert_by_dot(f, u)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalars, "dot", _refuse_dot)
+        mp.setattr(series, "dot", _refuse_dot)
+        g = f.revert()
+        got = f.revert(u)
+    assert g == got[0] == want_g
+    assert got[1] == want_ug
+
+
+@st.composite
+def symbolic_revert_st(draw):
+    """(f, u, in_f): f over Q at order >= 2 and u over Q, then one
+    coefficient replaced by a polynomial of degree 1 in s, either f_k with
+    k >= 2 (in_f) or u_k with 1 <= k <= min(f.order, u.order)."""
+    f, u = draw(q_revertible_st.filter(lambda f: f.order >= 2)), draw(q_series_st)
+    m = min(f.order, u.order)
+    poly = SPoly((draw(q_coeff_st), draw(q_coeff_st.filter(bool))))
+    in_f = m == 0 or draw(st.booleans())
+    cs = list((f if in_f else u).coeffs)
+    cs[draw(st.integers(2, f.order) if in_f else st.integers(1, m))] = poly
+    if in_f:
+        return Series(cs, f.order), u, True
+    return f, Series(cs, u.order), False
+
+
+@settings(max_examples=40, deadline=None)
+@given(symbolic_revert_st())
+@example((Series([0, Fraction(-3, 2), SPoly.s()], 2), Series([1], 0), True))
+@example((Series([0, 1, Fraction(1, 2)], 3), Series([0, SPoly.s()], 1), False))
+def test_revert_with_a_symbolic_coefficient_goes_through_dot(case):
+    f, u, in_f = case
+    N, m = f.order, min(f.order, u.order)
+    calls = {"series": [], "scalars": []}
+
+    def counted(module):
+        def method(xs, ys):
+            calls[module].append(len(xs))
+            return dot(xs, ys)
+        return method
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "dot", counted("series"))
+        mp.setattr(scalars, "dot", counted("scalars"))
+        g, ug = f.revert(u)
+    assert g == _revert_by_solve(f)
+    assert ug == u.compose(g)
+    # a symbolic f: one dot per coefficient of phi = z/f and of each product
+    # phi^n phi; either way one dot per n for [z^n] u(g)
+    assert calls["series"] == (list(range(1, N)) if in_f else []) + \
+        list(range(1, m + 1))
+    assert calls["scalars"] == (list(range(1, N + 1)) * (N - 1)
+                                if in_f else [])
+
+
 @given(inner_st)
 def test_log_inverts_exp(u):
     assert u.exp().log() == u
