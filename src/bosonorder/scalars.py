@@ -136,8 +136,8 @@ class SPoly:
 
     ``coeffs`` is derived on each read: a tuple of lowest-terms ``Fraction``
     values (exact type) with a nonzero last entry.  ``str``,
-    :meth:`to_json`, :meth:`eval`, :meth:`exact_div` and the hash of a
-    non-constant polynomial read it, so none of them sees the storage.
+    :meth:`to_json`, :meth:`eval` and the hash of a non-constant
+    polynomial read it, so none of them sees the storage.
 
     >>> s = SPoly.s()
     >>> print((1 + s) * (1 - s))
@@ -321,34 +321,6 @@ class SPoly:
         for _ in range(n):
             out = out * self
         return out
-
-    def exact_div(self, divisor: "SPoly") -> "SPoly":
-        """Exact polynomial division; raises if the remainder is nonzero.
-
-        Needed when a closed form carries an overall factor like (1 - s)
-        that cancels only after expansion.
-        """
-        divisor = SPoly._coerce(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("exact_div by zero polynomial")
-        if divisor.is_rational():
-            return self / divisor.as_rational()
-        rem = list(self.coeffs)
-        dc = divisor.coeffs
-        dd = len(dc) - 1
-        lead = dc[-1]
-        qs = [Fraction(0)] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            q = c / lead
-            qs[i - dd] = q
-            for j, d in enumerate(dc):
-                rem[i - dd + j] -= q * d
-        if any(rem):
-            raise ValueError(f"{self} is not divisible by {divisor}")
-        return SPoly(qs)
 
     # -- calculus and evaluation ----------------------------------------
 

@@ -248,11 +248,6 @@ class Series:
             return NotImplemented
         return self.reciprocal() * sc
 
-    def exact_scalar_div(self, divisor: SPoly) -> "Series":
-        """Divide every coefficient exactly by an SPoly (remainder must vanish)."""
-        divisor = as_spoly(divisor)
-        return Series((c.exact_div(divisor) for c in self.coeffs), self.order)
-
     # -- composition and reversion --------------------------------------
 
     def compose(self, inner: "Series") -> "Series":

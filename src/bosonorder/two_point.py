@@ -44,8 +44,12 @@ The bivariate EGF is the array of the group inverse [gbar, fbar] of [g, f],
 whose fbar comes from series reversion (Lagrange inversion) -- no radicals
 needed at any e.  One row needs no inverse: ``riordan.sheffer_row`` reads it
 from [g, f] itself.  For the low excesses e = 1 and e = 2 the inverted pair
-also has radical/algebraic closed forms, kept here as independent
-cross-checks of the inversion.
+also has closed forms, kept here as independent cross-checks of the
+inversion.  Both read in P and M taken at the inverse, P = 1 + w- fbar and
+M = 1 - w+ fbar: at e = 1, fbar is a radical and gbar = Q^(-1/2) (M/P)^(L-1);
+at e = 2, fbar is a root of 2 z (M P)^2 = P^2 - M^2.  P and M have constant
+term 1 at every s, so neither check divides by 1 -+ s and both hold at the
+endpoints s = +-1.
 """
 
 from __future__ import annotations
@@ -117,34 +121,22 @@ def closed_form_e1(L: int, R: int, s, N: int) -> RiordanPair:
         gbar = Q^(-1/2)                        for (L, R) = (1, 1)
         gbar = (1-s) / (Q - (z+s) sqrt(Q))     for (L, R) = (0, 2)
 
-    The (2,0) and (0,2) forms carry a factor that cancels only after
-    expansion; they are computed division-free by rationalizing with the
-    conjugate, which needs an exact polynomial division by (1 -+ s).  At
-    the numeric points s = +1 (for (2,0)) and s = -1 (for (0,2)) the
-    printed forms are genuine 0/0 limits: keep s symbolic and evaluate.
+    All three gbar are Q^(-1/2) (M/P)^(L-1) with P = 1 + w- fbar and
+    M = 1 - w+ fbar.  P and M have constant term 1 at every s, so this one
+    formula holds at s = +1 and s = -1 too, where the printed (2,0) and
+    (0,2) forms are 0/0.
+
+    >>> print(closed_form_e1(2, 0, 1, 4).first)
+    1 - 2*z + 3*z^2 - 4*z^3 + 5*z^4 + O(z^5)
     """
     if L < 0 or R < 0 or L + R != 2:
         raise ValueError("closed_form_e1 requires L, R >= 0 with L + R = 2")
     s = as_s(s)
     q = Series((1, 2 * s, 1), N)
-    sq = q.pow_rational(Fraction(1, 2))
     z = Series.variable(N)
-    fbar = (2 * z) / (Series((1, s), N) + sq)
-    zs = Series((s, 1), N)  # z + s
-    if (L, R) == (1, 1):
-        gbar = q.pow_rational(Fraction(-1, 2))
-    elif (L, R) == (2, 0):
-        divisor = SPoly.const(1) - s
-        if divisor.is_zero():
-            raise ValueError("(2,0) closed form needs a limit at s = 1; "
-                             "use symbolic s and evaluate afterwards")
-        gbar = (q - zs * sq).exact_scalar_div(divisor) / q
-    else:  # (0, 2)
-        divisor = SPoly.const(1) + s
-        if divisor.is_zero():
-            raise ValueError("(0,2) closed form needs a limit at s = -1; "
-                             "use symbolic s and evaluate afterwards")
-        gbar = (q + zs * sq).exact_scalar_div(divisor) / q
+    fbar = (2 * z) / (Series((1, s), N) + q.pow_rational(Fraction(1, 2)))
+    P, M = 1 + (1 - s) / 2 * fbar, 1 - (1 + s) / 2 * fbar
+    gbar = q.pow_rational(Fraction(-1, 2)) * (M / P).pow_rational(L - 1)
     return RiordanPair(gbar, fbar)
 
 
@@ -156,7 +148,9 @@ def quartic_residual(L: int, R: int, s, N: int) -> Series:
         (1-s^2)^2 z w^4 + 8 s (1-s^2) z w^3 - 8[(1-3s^2) z - s] w^2
             - 16 (1 + 2 s z) w + 16 z  =  0
 
-    At s = +-1 the two leading coefficients vanish and the constraint
+    The left side is 8 (2 z (M P)^2 - (P^2 - M^2)) with P = 1 + w- w and
+    M = 1 - w+ w, for every series w, and that is what is computed.  At
+    s = +-1 the two leading coefficients vanish and the constraint
     degenerates to a quadratic.
     """
     if L < 0 or R < 0 or L + R != 3:
@@ -165,14 +159,8 @@ def quartic_residual(L: int, R: int, s, N: int) -> Series:
     p = TwoPointParams(2, 1, -L, R, s)
     w = group_inverse(two_point_pair(p, N)).second
     z = Series.variable(N)
-    c4, c3 = quartic_leading_coeffs(s)
-    w2 = w * w
-    w3 = w2 * w
-    w4 = w2 * w2
-    lin2 = Series((-s, SPoly.const(1) - 3 * s * s), N)  # (1-3s^2) z - s
-    lin1 = Series((1, 2 * s), N)                        # 1 + 2 s z
-    return (c4 * (z * w4) + c3 * (z * w3) - 8 * (lin2 * w2)
-            - 16 * (lin1 * w) + 16 * z)
+    P, M = 1 + (1 - s) / 2 * w, 1 - (1 + s) / 2 * w
+    return 8 * (2 * z * (M * P) ** 2 - (P * P - M * M))
 
 
 def quartic_leading_coeffs(s) -> tuple:

@@ -56,15 +56,6 @@ def test_spoly_eval_deriv():
     assert SPoly.const(4).deriv().is_zero()
 
 
-def test_exact_division():
-    num = (1 - S) * (2 + 3 * S)
-    assert num.exact_div(1 - S) == 2 + 3 * S
-    with pytest.raises(ValueError):
-        (1 + S).exact_div(S)  # remainder 1
-    with pytest.raises(ZeroDivisionError):
-        (1 + S).exact_div(SPoly())
-
-
 def test_as_s_aliases():
     assert as_s("normal") == -1
     assert as_s("weyl") == 0
@@ -102,13 +93,6 @@ def test_spoly_ring_axioms(p, q, r):
     assert p * q == q * p
     assert (p + q) * r == p * r + q * r
     assert (p * q) * r == p * (q * r)
-
-
-@given(spoly_st, spoly_st)
-def test_exact_div_inverts_multiplication(p, q):
-    if q.is_zero():
-        return
-    assert (p * q).exact_div(q) == p
 
 
 @given(spoly_st, fractions_st)

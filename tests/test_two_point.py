@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bosonorder import two_point
 from bosonorder.hsu_shiue import HSParams, hs_pair
 from bosonorder.ordering import SingleAnnihilatorWord
 from bosonorder.riordan import (BivariateEGF, RiordanPair, _apply_dseries,
@@ -215,12 +216,14 @@ def test_e1_closed_forms_at_safe_numeric_points():
 
 
 def test_e1_closed_form_degenerate_points():
-    with pytest.raises(ValueError):
-        closed_form_e1(2, 0, 1, 6)    # 0/0 at s = +1
-    with pytest.raises(ValueError):
-        closed_form_e1(0, 2, -1, 6)   # 0/0 at s = -1
-    with pytest.raises(ValueError):
-        closed_form_e1(3, 0, S, 6)    # excess != 1
+    # the printed (2,0) and (0,2) forms are 0/0 at s = +1 and s = -1, but
+    # P and M have constant term 1 there, so every word is computed directly
+    for s in (1, -1):
+        for L, R in ((2, 0), (1, 1), (0, 2)):
+            assert closed_form_e1(L, R, s, 7) == group_inverse(
+                two_point_pair(TwoPointParams(1, 1, -L, R, s), 7))
+    one_plus_z = Series((1, 1), 7)
+    assert closed_form_e1(2, 0, 1, 7).first == (one_plus_z ** 2).reciprocal()
 
 
 def test_symbolic_closed_form_evaluates_to_the_limit():
@@ -229,6 +232,32 @@ def test_symbolic_closed_form_evaluates_to_the_limit():
     lim = closed_form_e1(2, 0, S, 7).eval_s(1)
     direct = group_inverse(two_point_pair(TwoPointParams(1, 1, -2, 0, 1), 7))
     assert lim == direct
+    # and with the numeric form, for every word at both endpoints
+    for s in (1, -1):
+        for L, R in ((2, 0), (1, 1), (0, 2)):
+            assert (closed_form_e1(L, R, S, 7).eval_s(s)
+                    == closed_form_e1(L, R, s, 7))
+
+
+def test_e1_closed_form_requires_excess_one():
+    with pytest.raises(ValueError):
+        closed_form_e1(3, 0, S, 6)
+    with pytest.raises(ValueError):
+        closed_form_e1(3, -1, S, 6)
+
+
+@given(param_st.filter(lambda q: abs(q) != 1))
+@example(Fraction(1, 3))
+@settings(max_examples=20, deadline=None)
+def test_e1_gbar_matches_the_printed_radical_forms(s):
+    # away from s = +-1, 1 -+ s is a nonzero rational, so the printed
+    # rationalized forms need only a scalar division
+    N = 7
+    q = Series((1, 2 * s, 1), N)
+    zsq = Series((s, 1), N) * q.pow_rational(Fraction(1, 2))  # (z+s) sqrt(Q)
+    assert closed_form_e1(2, 0, s, N).first == (q - zsq) / q * (1 / (1 - s))
+    assert closed_form_e1(1, 1, s, N).first == q.pow_rational(Fraction(-1, 2))
+    assert closed_form_e1(0, 2, s, N).first == (q + zsq) / q * (1 / (1 + s))
 
 
 @pytest.mark.parametrize("L,R", [(3, 0), (2, 1), (1, 2), (0, 3)])
@@ -249,3 +278,32 @@ def test_quartic_degenerates_at_endpoints():
 def test_quartic_requires_excess_two():
     with pytest.raises(ValueError):
         quartic_residual(1, 1, S, 6)
+
+
+def _quartic_by_coefficients(w: Series, s) -> Series:
+    """The printed quartic in w, expanded term by term."""
+    N = w.order
+    z = Series.variable(N)
+    c4, c3 = quartic_leading_coeffs(s)
+    w2 = w * w
+    lin2 = Series((-s, 1 - 3 * s * s), N)  # (1-3s^2) z - s
+    lin1 = Series((1, 2 * s), N)           # 1 + 2 s z
+    return (c4 * (z * w2 * w2) + c3 * (z * w2 * w) - 8 * (lin2 * w2)
+            - 16 * (lin1 * w) + 16 * z)
+
+
+@given(st.lists(param_st, min_size=5, max_size=5))
+@example([0, 0, 0, 0, 0])
+@settings(max_examples=15, deadline=None)
+def test_quartic_residual_is_the_printed_quartic_off_the_root(tail):
+    # with group inversion replaced by an arbitrary w (w_0 = 0, w_1 = 1),
+    # neither side vanishes, and 8 (2 z (M P)^2 - (P^2 - M^2)) must still
+    # be the printed quartic, coefficient by coefficient
+    N = 6
+    w = Series([0, 1] + tail, N)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(two_point, "group_inverse",
+                   lambda pair: RiordanPair(pair.first, w))
+        for s in (S, -1, 1, Fraction(1, 3)):
+            assert (quartic_residual(2, 1, s, N)
+                    == _quartic_by_coefficients(w, s))

@@ -84,6 +84,14 @@ def _array_coeffs(orig):
     return fault
 
 
+def _closed_form_e1(orig):
+    def fault(L, R, s, N):
+        q = orig(L, R, s, N)
+        z = Series.variable(q.order)
+        return RiordanPair(q.first + z * z * z, q.second)
+    return fault
+
+
 def _quartic_residual(orig):
     def fault(L, R, s, N):
         res = orig(L, R, s, N)
@@ -190,6 +198,10 @@ FAULTS = [
     ("group_inverse", _group_inverse_second, "e1-closed-forms",
      [(0, "second z^4: 3/4*s - 7/4*s^3 != 1 + 3/4*s - 7/4*s^3"),
       (1, "second z^4: 3/4*s - 7/4*s^3 != 1 + 3/4*s - 7/4*s^3")]),
+    ("closed_form_e1", _closed_form_e1, "e1-closed-forms",
+     [(0, "first z^3: 3/2 + 1/2*s - 5/2*s^2 - 5/2*s^3"
+          " != 1/2 + 1/2*s - 5/2*s^2 - 5/2*s^3"),
+      (1, "first z^3: 1 + 3/2*s - 5/2*s^3 != 3/2*s - 5/2*s^3")]),
     ("laguerre_power", _laguerre_power, "laguerre",
      [(3, "anti (0,3): -12 != -6")]),
     ("blasiak_identity_check", _blasiak_identity_check, "blasiak",
