@@ -3,7 +3,7 @@
 Every subcommand prints exact data (JSON or CSV) built from rational and
 polynomial-in-s arithmetic, so repeated runs with the same arguments are
 byte-for-byte identical.  The truncation order is --N (default 8) and
-must be >= 0; power and weyl-aaa take no truncation order.
+must be >= 0; power takes no truncation order.
 
 :data:`COMMANDS` is the one list of subcommands; a new subcommand is one
 handler decorated with ``@_command(name, help, *specs)``.
@@ -28,8 +28,7 @@ from .scalars import as_s, parse_rational
 from .riordan import CATALOG, array_coeffs, catalog, group_inverse
 from .hsu_shiue import HSParams, hs_egf, hs_triangle_rec
 from .two_point import TwoPointParams, two_point_egf
-from .ordering import (SingleAnnihilatorWord, power_symbol, s_ordered_symbol,
-                       weyl_power_aaa)
+from .ordering import SingleAnnihilatorWord, power_symbol, s_ordered_symbol
 from .verify import SUITES, run_all, run_suite, suite_passed
 
 DEFAULT_TRUNC_ORDER = 8
@@ -146,7 +145,6 @@ _WORD = (("--L", dict(type=int, required=True,
 _S = ("--s", dict(type=_ordering, default="symbolic",
                   help="ordering parameter: a rational, or one of "
                        "normal/weyl/antinormal/symbolic (default symbolic)"))
-_POWER = ("--n", dict(type=int, required=True, help="the power"))
 _OUTPUT = (("--format", dict(choices=("json", "csv"), default="json",
                              help="output format (default json)")),
            ("--out", dict(metavar="FILE", default=None,
@@ -199,15 +197,11 @@ def _cmd_order(args) -> int:
 
 
 @_command("power", "s-ordered symbol of the single power (ad^L a ad^R)^n",
-          *_WORD, _POWER, _S, *_OUTPUT)
+          *_WORD, ("--n", dict(type=int, required=True, help="the power")),
+          _S, *_OUTPUT)
 def _cmd_power(args) -> int:
     w = SingleAnnihilatorWord(args.L, args.R)
     return _output(args, power_symbol(w, args.n, args.s), _table_csv)
-
-
-@_command("weyl-aaa", "Weyl-ordered symbol of (ad a ad)^n", _POWER, *_OUTPUT)
-def _cmd_weyl_aaa(args) -> int:
-    return _output(args, weyl_power_aaa(args.n), _table_csv)
 
 
 @_command("verify", "run a verification suite and report JSON",

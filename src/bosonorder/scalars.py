@@ -36,7 +36,7 @@ common-denominator method of Knuth, TAOCP Vol. 2, section 4.5.1:
 
 The gcd searches are loops that stop as soon as they reach 1, and no
 Fraction is built per coefficient.  The lowest-terms ``Fraction``
-coefficients are derived only for output, evaluation and exact division.
+coefficients are derived only for output and evaluation.
 """
 
 from __future__ import annotations

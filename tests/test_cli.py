@@ -69,7 +69,8 @@ def test_order_symbolic_csv(capsys):
 
 
 def test_weyl_aaa_json(capsys):
-    code, out = run_cli(capsys, "weyl-aaa", "--n", "3")
+    code, out = run_cli(capsys, "power", "--L", "1", "--R", "1", "--n", "3",
+                        "--s", "weyl")
     assert code == 0
     data = json.loads(out)
     assert {"n": 4, "m": 1, "coeff": ["-9/2"]} in data
@@ -150,9 +151,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         assert exc.value.code == 2
         err = capsys.readouterr().err.splitlines()[-1]
         assert err.endswith(f"invalid {kind} value: {bad!r}")
-    # power and weyl-aaa compute one exact power and take no --N
+    # power computes one exact power and takes no --N; the Weyl-ordered
+    # power of ad a ad is power --L 1 --R 1 --s weyl, not a subcommand
     for argv in (["power", "--L", "1", "--R", "0", "--n", "2", "--N", "-1"],
-                 ["weyl-aaa", "--n", "2", "--N", "3"]):
+                 ["weyl-aaa", "--n", "2"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
@@ -346,7 +348,6 @@ MINIMAL_ARGV = {
     "two-point-egf": ["--A", "0", "--B", "1", "--r", "0", "--r-prime", "1"],
     "order": ["--L", "1", "--R", "0"],
     "power": ["--L", "1", "--R", "0", "--n", "2"],
-    "weyl-aaa": ["--n", "2"],
     "verify": ["katriel"],
     "catalog": ["abel"],
 }

@@ -174,6 +174,9 @@ def test_weyl_power_aaa_small():
     for n in range(5):
         assert s_quantize(weyl_power_aaa(n), 0) == \
             normal_order(w.word().power(n))
+    # the printed formula is the s = 0 point of the s-ordered power
+    for n in range(13):
+        assert power_symbol(w, n, "weyl") == weyl_power_aaa(n)
     # parity structure: only k = n, n-2, ... appear
     sym = weyl_power_aaa(4)
     assert sym.coeff(7, 3).is_zero()
