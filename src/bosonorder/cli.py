@@ -229,7 +229,6 @@ def _cmd_catalog(args) -> int:
     tri = array_coeffs(group_inverse(pair), args.N)
     return _output(args, tri, _triangle_csv,
                    lambda tri: {"sequence": args.sequence,
-                                "convention": "sheffer",
                                 "g": pair.first.to_json(),
                                 "f": pair.second.to_json(),
                                 "triangle": tri.to_json()})

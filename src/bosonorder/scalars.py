@@ -10,8 +10,10 @@ the operator-ordering convention:
 
 Keeping s symbolic by default means one computation covers the whole family;
 a numeric choice of s gives the symbolic result evaluated at s.  Numeric s
-may take faster integer lanes, but the kernels pick them from the data
-(constants only), never from an option.
+may take faster integer lanes -- :func:`convolve` here, the reciprocal,
+binomial series and reversion in ``series``, the array column loop in
+``riordan`` and the Sheffer pair ``two_point.two_point_pair`` -- but the
+kernels pick them from the data (constants only), never from an option.
 
 Rationals are ``fractions.Fraction`` throughout (exact, lowest terms,
 positive denominator).  Serialized rationals are strings "p/q" or "p".
@@ -365,10 +367,14 @@ class SPoly:
 
     def to_json(self) -> list:
         """List of rational strings, ascending s-power, trimmed: each
-        numerator over the stored denominator, reduced by one gcd."""
-        den = self._den
+        numerator over the stored denominator, reduced by one gcd.  A
+        constant's one numerator is already prime to the denominator (the
+        content is 1), so it is printed without a gcd."""
+        num, den = self._num, self._den
+        if len(num) <= 1:
+            return [_ratio_text(num[0], den)] if num else []
         return [_ratio_text(n // g, den // g)
-                for n in self._num for g in (gcd(n, den),)]
+                for n in num for g in (gcd(n, den),)]
 
     @staticmethod
     def from_json(data) -> "SPoly":

@@ -24,7 +24,10 @@ with L the lcm of the two denominators.  Reversion over Q takes it too:
 z/f is put over the lcm d of its denominators once, z/f = P/d, and each
 power (z/f)^n is the integer list P^n over d^n, one integer convolution
 per n with no gcd, read off with one reduction per coefficient.  None of
-these lanes calls ``dot`` or multiplies an SPoly.
+these lanes calls ``dot`` or multiplies an SPoly, and neither does the
+integer lane of the two-point Sheffer pair, ``two_point.two_point_pair``,
+which builds its binomial factors as integer generalized factorials and
+needs no Series product.
 Composition is Horner's rule with truncated steps: the partial sum that has
 just taken f_k is later multiplied by inner^k, so it is carried only to order
 N - k.  Reversion is Lagrange inversion, g_n = (1/n) [z^(n-1)] (z/f)^n

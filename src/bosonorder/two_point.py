@@ -27,6 +27,15 @@ and the same with r' in place of r, while
 Every coefficient is a product of linear factors, so one formula holds at
 every (A, B), the limits A = 0 and B = 0 included.
 
+At a constant s the pair is built on integers.  With s = u/q in lowest
+terms, 2q w+ = q + u and 2q w- = q - u are integers; with A, B, r, r' over
+their lcm L, coefficient n of each binomial factor is an integer
+generalized factorial over (2qL)^n n!, each half of g is a binomial
+convolution of two of them, and every coefficient of g and f is one integer
+over a known denominator, reduced once (the common-denominator method of
+Knuth, TAOCP Vol. 2, sec. 4.5.1).  The data picks this lane; over Q[s] the
+same series are built by SPoly arithmetic.
+
 For a word (A, B, r, r') = (e, 1, -L, R) everything is integral in w-:
 n! [z^n] of g, f, gbar and fbar lie in Z[w-], of degree at most n, n - 1,
 n and n - 1.  Hurwitz series over a ring stay Hurwitz under products,
@@ -56,6 +65,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import add, mul
 
 from .scalars import SPoly, as_s
 from .series import Series
@@ -85,7 +96,27 @@ class TwoPointParams:
 
 
 def two_point_pair(p: TwoPointParams, N: int) -> RiordanPair:
-    """The Sheffer pair [g, f] of the two-point family, at order N."""
+    """The Sheffer pair [g, f] of the two-point family, at order N.
+
+    At a constant s every coefficient is one integer over a known
+    denominator: with s = u/q in lowest terms and A, B, r, r' over their
+    lcm L, each of the four binomial factors has coefficient n an integer
+    generalized factorial over (2qL)^n n!, so each half of g is a binomial
+    convolution of integers and
+
+        g_n = ((q+u) H_r[n] + (q-u) H_r'[n]) / (2q (2qL)^n n!)
+        f_n = ((q+u)^n - (u-q)^n) L (a + b) ... (a + (n-1) b) / ((2qL)^n n!)
+
+    with A = a/L, B = b/L, and H_r[n] = sum_i C(n, i) X_i Y_(n-i) over the
+    integer generalized factorials X and Y of the two factors.  Each
+    coefficient is reduced once, and no SPoly is multiplied.  Over Q[s]
+    the series are built by SPoly arithmetic.
+
+    >>> print(two_point_pair(TwoPointParams(1, 1, -1, 1, 0), 4).second)
+    z + 1/4*z^3 + O(z^5)
+    """
+    if p.s.is_rational():
+        return _two_point_pair_over_z(p, N)
     wp = (1 + p.s) / 2
     wm = (1 - p.s) / 2
 
@@ -102,6 +133,46 @@ def two_point_pair(p: TwoPointParams, N: int) -> RiordanPair:
         f.append((up - down) * fall)
         fall = fall * (p.A + n * p.B) / (n + 1)
     return RiordanPair(g, Series(f, N))
+
+
+def _two_point_pair_over_z(p: TwoPointParams, N: int) -> RiordanPair:
+    """``two_point_pair`` at a constant s, on integers (see its docstring)."""
+    s = p.s.as_rational()
+    q = s.denominator
+    up, down = q + s.numerator, q - s.numerator  # 2q w+ and 2q w-
+    L = lcm(p.A.denominator, p.B.denominator,
+            p.r.denominator, p.rp.denominator)
+    a, b, rho, rhop = (int(x * L) for x in (p.A, p.B, p.r, p.rp))
+
+    def factors(rho):  # (2qL)^n n! [z^n] of the two factors of (P/M)^(-r/B)
+        return (_rising(-down * rho, -down * b, N),
+                _rising(-up * rho, up * b, N))
+
+    (x, y), (xp, yp) = factors(rho), factors(rhop)
+    g, f = [], []
+    row = [1]  # C(n, i), i = 0 .. n
+    den = 1  # (2qL)^n n!
+    pos, neg = 1, 1  # (q+u)^n and (u-q)^n
+    prod = L  # L (a + b) ... (a + (n-1) b) for n >= 1
+    for n in range(N + 1):
+        h = sum(map(mul, map(mul, row, x), y[n::-1]))
+        hp = sum(map(mul, map(mul, row, xp), yp[n::-1]))
+        g.append(SPoly.ratio(up * h + down * hp, 2 * q * den))
+        f.append(SPoly.ratio((pos - neg) * prod, den))
+        if n:
+            prod *= a + n * b
+        pos, neg = pos * up, -neg * down
+        den *= 2 * q * L * (n + 1)
+        row = [1, *map(add, row, row[1:]), 1]
+    return RiordanPair(Series(g, N), Series(f, N))
+
+
+def _rising(a0: int, h: int, N: int) -> list:
+    """The integers a0 (a0 + h) ... (a0 + (n-1) h), n = 0 .. N."""
+    out = [1]
+    for j in range(N):
+        out.append(out[-1] * (a0 + j * h))
+    return out
 
 
 def two_point_egf(p: TwoPointParams, N: int) -> BivariateEGF:

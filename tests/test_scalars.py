@@ -344,3 +344,26 @@ def test_to_json_formats_each_reduced_coefficient(cs):
     assert p.to_json() == [format_rational(c) for c in p.coeffs]
     if p.is_zero():
         assert p.to_json() == []
+
+
+def _to_json_per_coefficient_gcd(p: SPoly) -> list:
+    """The general form of ``to_json``: every numerator over the stored
+    denominator, reduced by its own gcd, constants included."""
+    return [format_rational(Fraction(n // g, p._den // g))
+            for n in p._num for g in (gcd(n, p._den),)]
+
+
+@given(st.one_of(wide_fractions_st.map(SPoly.const),
+                 st.tuples(st.integers(-10**30, 10**30),
+                           st.integers(1, 10**30)).map(
+                     lambda nd: SPoly.ratio(*nd)),
+                 json_coeffs_st.map(SPoly)))
+@example(SPoly())
+@example(SPoly.const(Fraction(-6, 4)))
+@example(SPoly.ratio(0, 12))
+@example(SPoly.ratio(-18, 12))
+@example(SPoly([Fraction(1, 2), Fraction(1, 3), 0, Fraction(-5, 6)]))
+def test_to_json_matches_the_per_coefficient_gcd_form(p):
+    # constants skip the gcd; their one numerator is prime to the
+    # denominator, so the text is the same as when each entry is reduced
+    assert p.to_json() == _to_json_per_coefficient_gcd(p)

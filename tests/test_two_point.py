@@ -156,6 +156,43 @@ def test_two_point_pair_matches_exp_log_oracle(a, b, r, rp, s, N):
     assert two_point_pair(p, N) == _two_point_pair_exp_log(p, N)
 
 
+@given(zero_or_param_st, zero_or_param_st, param_st, param_st,
+       st.fractions(min_value=-3, max_value=3, max_denominator=7),
+       st.integers(0, 10))
+@example(0, 1, -2, 1, Fraction(1, 3), 8)
+@example(2, 0, 1, -3, Fraction(1, 3), 8)
+@example(0, 0, 1, 2, Fraction(-2, 5), 6)
+@example(Fraction(3, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(-1, 6),
+         Fraction(2, 7), 10)
+@example(2, 1, -2, 1, Fraction(1, 3), 0)
+@example(2, 1, -2, 1, -1, 8)
+@example(2, 1, -2, 1, 0, 8)
+@example(2, 1, -2, 1, 1, 8)
+@settings(max_examples=40, deadline=None)
+def test_numeric_pair_is_the_symbolic_pair_evaluated(a, b, r, rp, s, N):
+    # the integer lane at a constant s against the Q[s] loop, evaluated
+    numeric = two_point_pair(TwoPointParams(a, b, r, rp, s), N)
+    symbolic = two_point_pair(TwoPointParams(a, b, r, rp, S), N)
+    assert numeric == symbolic.eval_s(s)
+
+
+def test_numeric_pair_multiplies_no_spoly(monkeypatch):
+    calls = []
+    mul = SPoly.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(SPoly, "__mul__", counting_mul)
+    p = TwoPointParams(Fraction(3, 2), Fraction(-2, 3), Fraction(5, 4),
+                       Fraction(-1, 6), Fraction(2, 7))
+    two_point_pair(p, 12)
+    assert not calls
+    two_point_pair(TwoPointParams(p.A, p.B, p.r, p.rp, S), 12)
+    assert calls
+
+
 word_st = st.integers(1, 5).flatmap(
     lambda total: st.integers(0, total).map(
         lambda L: SingleAnnihilatorWord(L, total - L)))
