@@ -39,5 +39,6 @@ print("n=3 check:", s_quantize(weyl_power_aaa(3), 0)
 print()
 print("== exponential of the Sheffer raising element ==")
 for name in ("touchard", "hermite", "laguerre", "abel"):
-    out = blasiak_identity_check(catalog(name, 9), 4, 4)
-    print(f"  {name:9s} exp(lambda X) normal form matches:", out["equal"])
+    terms = blasiak_identity_check(catalog(name, 9), 4, 4)
+    print(f"  {name:9s} exp(lambda X) normal form matches:",
+          all(got == want for _, _, got, want in terms))

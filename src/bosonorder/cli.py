@@ -135,7 +135,7 @@ _ordering = _arg_type("ordering", as_s)
 
 # Flag groups: (flag, add_argument keywords) pairs, added in this order.
 _HS = (("--A", dict(type=_rational, required=True,
-                    help="parameter A, a rational like 3 or -1/2")),
+                    help="parameter A, a rational like 3, -1/2 or 1.5")),
        ("--B", dict(type=_rational, required=True, help="parameter B")),
        ("--r", dict(type=_rational, required=True, help="parameter r")))
 _WORD = (("--L", dict(type=int, required=True,
@@ -143,7 +143,7 @@ _WORD = (("--L", dict(type=int, required=True,
          ("--R", dict(type=int, required=True,
                       help="creation operators right of the annihilator")))
 _S = ("--s", dict(type=_ordering, default="symbolic",
-                  help="ordering parameter: a rational, or one of "
+                  help="ordering parameter: a rational (not 1e3), or one of "
                        "normal/weyl/antinormal/symbolic (default symbolic)"))
 _OUTPUT = (("--format", dict(choices=("json", "csv"), default="json",
                              help="output format (default json)")),

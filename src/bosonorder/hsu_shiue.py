@@ -34,9 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
-from .scalars import SPoly, binomial, falling_row
+from .scalars import SPoly, falling_row
 from .riordan import BivariateEGF, RiordanPair, Triangle, pair_to_egf
 from .series import Series
 
@@ -90,7 +90,7 @@ def hs_coeff_sum(p: HSParams, n: int, k: int, table=None) -> Fraction:
         table = hs_falling_table(p, n, k)
     acc = Fraction(0)
     for j in range(k + 1):
-        term = binomial(k, j) * table[j][n]
+        term = comb(k, j) * table[j][n]
         acc += term if (k - j) % 2 == 0 else -term
     return acc / (p.B ** k * factorial(k))
 

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
-from .scalars import as_s, binomial
+from .scalars import as_s
 from .series import Series
 from .riordan import RiordanPair, pair_to_egf, raising_series, sheffer_row
 from .hsu_shiue import HSParams, hs_triangle_rec
@@ -231,7 +231,7 @@ def weyl_power_aaa(n: int) -> ClassicalPoly:
     items = []
     for k in range(n % 2, n + 1, 2):
         j = (n - k) // 2
-        c = Fraction((-1) ** j * binomial(n, j), 2 ** (n - k)) \
+        c = Fraction((-1) ** j * comb(n, j), 2 ** (n - k)) \
             * Fraction(factorial(n), factorial(k))
         items.append(((n + k, k), c))
     return ClassicalPoly(items)
@@ -257,8 +257,8 @@ def _taylor_shift(F: Series, x: Series, nl: int) -> list:
     return out
 
 
-def blasiak_identity_check(p: RiordanPair, nd: int, nl: int) -> dict:
-    """Check, coefficient by coefficient, the normally ordered form of
+def blasiak_identity_check(p: RiordanPair, nd: int, nl: int):
+    """Both sides, term by term, of the normally ordered form of
     exp(lambda X) for the raising-type element
 
         X = (1/f'(ad)) [a - g'(ad)/g(ad)]
@@ -273,10 +273,12 @@ def blasiak_identity_check(p: RiordanPair, nd: int, nl: int) -> dict:
     a F(ad) = F(ad) a + F'(ad) gives X F a^m = u F a^(m+1) + (u F' - w F) a^m;
     the right side as a Taylor shift in lambda,
     F(f(ad) + lambda) = sum_j F^(j)(f(ad)) lambda^j/j!.
-    Returns {"equal": bool, "mismatches": [(n, m), ...]}.
+    Yields (n, m, got, want) for each lambda^n a^m term, m outer and n
+    inner: the left and right sides' series in ad through ad-degree nd.
 
     The pair must carry truncation order at least nd + nl + 1 so that every
-    derivative and composition stays exact on the compared window.
+    derivative and composition stays exact on the compared window (a
+    shorter one raises ValueError at the first term drawn).
     """
     work = nd + nl
     if p.order < work + 1:
@@ -304,7 +306,6 @@ def blasiak_identity_check(p: RiordanPair, nd: int, nl: int) -> dict:
     ratio = [g.truncate(nd) * c for c in recip]
     diff = [bbar[0] - Series.variable(nd)] + bbar[1:]
 
-    mismatches = []
     rhs_m = [Series.one(nd)] + [Series.zero(nd)] * nl  # (bbar - ad)^m / m!
     for m in range(nl + 1):
         if m > 0:
@@ -316,7 +317,4 @@ def blasiak_identity_check(p: RiordanPair, nd: int, nl: int) -> dict:
                 lhs_slice = Series.zero(nd)
             else:
                 lhs_slice = (lhs_series * Fraction(1, factorial(n))).truncate(nd)
-            if not (lhs_slice - coeff_m[n]).is_zero():
-                mismatches.append((n, m))
-    return {"equal": not mismatches, "ad_order": nd, "lambda_order": nl,
-            "mismatches": mismatches}
+            yield n, m, lhs_slice, coeff_m[n]

@@ -44,18 +44,22 @@ coefficients are derived only for output and evaluation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction; interior whitespace is allowed.
+    """Parse "p", "p/q" or a decimal like "1.5" into a Fraction; interior
+    whitespace is allowed.
 
     >>> parse_rational("-3/4")
     Fraction(-3, 4)
 
-    A zero denominator raises ValueError, like any other malformed text.
+    Exponent notation ("1e3") raises ValueError, since ``Fraction`` would
+    spend minutes expanding a large exponent; so does a zero denominator.
     """
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation in {text!r}")
     try:
         return Fraction(text.replace(" ", ""))
     except ZeroDivisionError:
@@ -110,13 +114,15 @@ def format_terms(terms) -> str:
 
 
 def falling_row(x, n: int, stride) -> list:
-    """The strided falling factorials of x of lengths 0 .. n, one product
-    step each: (x | h)_(m+1) = (x | h)_m (x - m h); stride 0 gives x**m."""
-    x = Fraction(x)
-    h = Fraction(stride)
-    out = [Fraction(1)]
-    for i in range(n):
-        out.append(out[i] * (x - i * h))
+    """The generalized factorials (x | h)_m = x (x - h) ... (x - (m-1) h),
+    m = 0 .. n, one step each: (x | h)_(m+1) = (x | h)_m (x - m h).  Every
+    Sheffer coefficient of the Hsu-Shiue and two-point families is one
+    (Hsu & Shiue, 1998).  Stride 0 gives x**m.  The row stays in the ring
+    of x and h (ints, Fractions or SPolys); entry 0 is x**0."""
+    out = [x ** 0]
+    for _ in range(n):
+        out.append(out[-1] * x)
+        x = x - stride
     return out
 
 
@@ -533,9 +539,3 @@ def as_s(value) -> SPoly:
         return SPoly.const(parse_rational(value))
     return as_spoly(value)
 
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k), zero outside 0 <= k <= n."""
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)

@@ -39,10 +39,11 @@ composed with the inverse, u(g), by the Lagrange-Bürmann formula.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from operator import mul
 
-from .scalars import (SPoly, _over_lcm, as_spoly, convolve, dot, format_power,
-                      format_terms)
+from .scalars import (SPoly, _over_lcm, as_spoly, convolve, dot, falling_row,
+                      format_power, format_terms)
 
 
 class Series:
@@ -87,33 +88,28 @@ class Series:
     @staticmethod
     def binomial(c, a, order: int) -> "Series":
         """(1 + c z)^(a/c) = sum_n (a | c)_n z^n/n! for c and a in Q[s], with
-        the generalized factorial (a | c)_n = a (a - c) ... (a - (n-1) c).
+        the generalized factorial (a | c)_n = a (a - c) ... (a - (n-1) c)
+        read from :func:`~bosonorder.scalars.falling_row`.
 
         At constant c and a (every call at numeric s), both are put over
-        their lcm L, c = gamma/L and a = alpha/L, and coefficient n is
-        prod_(j<n) (alpha - j gamma) / (L^n n!): one integer product and
-        one reduction by a gcd each.  Over Q[s] each coefficient is one
-        product step from the one before, t_n = t_(n-1) (a - (n-1) c)/n.
-        Either way c = 0 gives e^(a z), and nothing is divided by c.
+        their lcm L, c = gamma/L and a = alpha/L, and coefficient n is the
+        integer (alpha | gamma)_n over L^n n!, reduced by one gcd.  Over
+        Q[s] coefficient n is the SPoly (a | c)_n divided by n!.  Either way
+        c = 0 gives e^(a z), and nothing is divided by c.
 
         >>> print(Series.binomial(2, 1, 3))
         1 + z - 1/2*z^2 + 1/2*z^3 + O(z^4)
         """
         c, a = as_spoly(c), as_spoly(a)
-        out = [SPoly.const(1)]
         if c.is_rational() and a.is_rational():
             (gamma, alpha), lcd = _over_lcm((c, a))
-            num, den = 1, 1
-            for n in range(1, order + 1):
-                num *= alpha - (n - 1) * gamma
-                den *= lcd * n
+            out, den = [], 1  # den = L^n n!
+            for n, num in enumerate(falling_row(alpha, order, gamma)):
                 out.append(SPoly.ratio(num, den))
+                den *= lcd * (n + 1)
             return Series(out, order)
-        step = a
-        for n in range(1, order + 1):
-            out.append(out[-1] * step / n)
-            step = step - c
-        return Series(out, order)
+        return Series([t / factorial(n) for n, t in
+                       enumerate(falling_row(a, order, c))], order)
 
     # -- queries ---------------------------------------------------------
 

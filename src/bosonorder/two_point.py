@@ -24,7 +24,8 @@ and the same with r' in place of r, while
 
     f_n = (w+^n - (-w-)^n) (A + B) (A + 2B) ... (A + (n-1) B) / n!
 
-Every coefficient is a product of linear factors, so one formula holds at
+Every coefficient is a product of linear factors, read from the one
+generalized factorial ``scalars.falling_row``, so one formula holds at
 every (A, B), the limits A = 0 and B = 0 included.
 
 At a constant s the pair is built on integers.  With s = u/q in lowest
@@ -65,10 +66,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 from operator import add, mul
 
-from .scalars import SPoly, as_s
+from .scalars import SPoly, as_s, falling_row
 from .series import Series
 from .riordan import BivariateEGF, RiordanPair, group_inverse, pair_to_egf
 
@@ -127,11 +128,11 @@ def two_point_pair(p: TwoPointParams, N: int) -> RiordanPair:
     g = wp * power(p.r) + wm * power(p.rp)
     f = [SPoly()]
     up, down = SPoly.const(1), SPoly.const(1)  # w+^n and (-w-)^n
-    fall = Fraction(1)  # (A + B) ... (A + (n-1) B)/n!
+    # entry n - 1 is (A + B) ... (A + (n-1) B)
+    fall = falling_row(p.A + p.B, N - 1, -p.B)
     for n in range(1, N + 1):
         up, down = up * wp, -(down * wm)
-        f.append((up - down) * fall)
-        fall = fall * (p.A + n * p.B) / (n + 1)
+        f.append((up - down) * (fall[n - 1] / factorial(n)))
     return RiordanPair(g, Series(f, N))
 
 
@@ -145,34 +146,25 @@ def _two_point_pair_over_z(p: TwoPointParams, N: int) -> RiordanPair:
     a, b, rho, rhop = (int(x * L) for x in (p.A, p.B, p.r, p.rp))
 
     def factors(rho):  # (2qL)^n n! [z^n] of the two factors of (P/M)^(-r/B)
-        return (_rising(-down * rho, -down * b, N),
-                _rising(-up * rho, up * b, N))
+        return (falling_row(-down * rho, N, down * b),
+                falling_row(-up * rho, N, -up * b))
 
     (x, y), (xp, yp) = factors(rho), factors(rhop)
+    # entry n >= 1 is (a + b) ... (a + (n-1) b); f_0 = 0
+    fall = [0, *falling_row(a + b, N - 1, -b)]
     g, f = [], []
     row = [1]  # C(n, i), i = 0 .. n
     den = 1  # (2qL)^n n!
     pos, neg = 1, 1  # (q+u)^n and (u-q)^n
-    prod = L  # L (a + b) ... (a + (n-1) b) for n >= 1
     for n in range(N + 1):
         h = sum(map(mul, map(mul, row, x), y[n::-1]))
         hp = sum(map(mul, map(mul, row, xp), yp[n::-1]))
         g.append(SPoly.ratio(up * h + down * hp, 2 * q * den))
-        f.append(SPoly.ratio((pos - neg) * prod, den))
-        if n:
-            prod *= a + n * b
+        f.append(SPoly.ratio((pos - neg) * L * fall[n], den))
         pos, neg = pos * up, -neg * down
         den *= 2 * q * L * (n + 1)
         row = [1, *map(add, row, row[1:]), 1]
     return RiordanPair(Series(g, N), Series(f, N))
-
-
-def _rising(a0: int, h: int, N: int) -> list:
-    """The integers a0 (a0 + h) ... (a0 + (n-1) h), n = 0 .. N."""
-    out = [1]
-    for j in range(N):
-        out.append(out[-1] * (a0 + j * h))
-    return out
 
 
 def two_point_egf(p: TwoPointParams, N: int) -> BivariateEGF:

@@ -334,29 +334,26 @@ def weyl_quantize_monomial(n: int, m: int) -> NormalForm:
 # ---------------------------------------------------------------------------
 
 def s_quantize(f: ClassicalPoly, s) -> NormalForm:
-    """The s-ordered operator :f:_s, returned in normal form.
-
-    Internally anchors at the normal order s' = -1: the symbol is first
-    transported to its normal-order symbol by the heat propagator with
-    delta = (s+1)/2, then read off as ad^n a^m monomials.
+    """The s-ordered operator :f:_s, returned in normal form: the symbol
+    is moved to normal order (s' = -1) by :func:`convert_order`, then read
+    off as ad^n a^m monomials.
     """
-    s = as_s(s)
-    moved = f.heat_propagate((s + 1) / 2)
-    return NormalForm(moved.table.items())
+    return NormalForm(convert_order(f, s, -1).table.items())
 
 
 def s_transform(g: NormalForm, s) -> ClassicalPoly:
     """The s-order symbol of an operator given in normal form.
 
-    Inverse of :func:`s_quantize`: transports the normal-order symbol
-    (s' = -1) to the requested s with delta = (-1-s)/2.
+    Inverse of :func:`s_quantize`: the normal-order symbol (s' = -1) is
+    moved to the requested s by :func:`convert_order`.
     """
-    s = as_s(s)
-    return g.symbol().heat_propagate((-1 - s) / 2)
+    return convert_order(g.symbol(), -1, s)
 
 
 def convert_order(f: ClassicalPoly, s_from, s_to) -> ClassicalPoly:
-    """Transport a symbol from convention s_from to convention s_to.
+    """Transport a symbol from convention s_from to convention s_to: the
+    heat propagator with delta = (s_from - s_to)/2, the one place in the
+    package that writes the ordering shift.
 
     Composition law: going s -> s' -> s'' equals going s -> s'' directly,
     because the propagators commute and their deltas add.

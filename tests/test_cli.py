@@ -151,6 +151,20 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         assert exc.value.code == 2
         err = capsys.readouterr().err.splitlines()[-1]
         assert err.endswith(f"invalid {kind} value: {bad!r}")
+    # exponent notation is refused before anything runs; a decimal is not
+    for argv, kind, bad in (
+            (["order", "--L", "1", "--R", "0", "--s", "1e5000", "--N", "1"],
+             "ordering", "1e5000"),
+            (["hs-triangle", "--A", "1E3", "--B", "1", "--r", "0"],
+             "rational", "1E3")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.endswith(f"invalid {kind} value: {bad!r}")
+    assert cli.main(["hs-triangle", "--A", "1.5", "--B", "1", "--r", "0",
+                     "--N", "1", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "1\n0,1\n"
     # power computes one exact power and takes no --N; the Weyl-ordered
     # power of ad a ad is power --L 1 --R 1 --s weyl, not a subcommand
     for argv in (["power", "--L", "1", "--R", "0", "--n", "2", "--N", "-1"],

@@ -3,6 +3,7 @@ parameter symmetries, and the characterizing PDE."""
 
 import dataclasses
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,7 +12,7 @@ from bosonorder import hsu_shiue
 from bosonorder.hsu_shiue import (HSParams, hs_coeff_sum, hs_egf, hs_pair,
                                   hs_pde_residual, hs_triangle_rec)
 from bosonorder.riordan import Triangle, group_inverse
-from bosonorder.scalars import binomial, falling_row
+from bosonorder.scalars import falling_row
 
 param_st = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 nonzero_st = param_st.filter(lambda q: q != 0)
@@ -86,7 +87,7 @@ def test_equal_parameters_collapse_to_binomials(b, r):
     tri = hs_triangle_rec(HSParams(b, b, r), 6)
     for n in range(7):
         for k in range(n + 1):
-            want = binomial(n, k) * falling_row(r, n - k, b)[n - k]
+            want = comb(n, k) * falling_row(r, n - k, b)[n - k]
             assert tri.entry(n, k) == want
 
 

@@ -7,7 +7,7 @@ two-point pairs, whose rows come from group inversion.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,7 +18,7 @@ from bosonorder.riordan import (CATALOG, BivariateEGF, RiordanPair, Triangle,
                                 array_coeffs, catalog, group_inverse,
                                 group_product, identity_pair,
                                 ladder_apply, pair_to_egf, sheffer_row)
-from bosonorder.scalars import SPoly, binomial, dot
+from bosonorder.scalars import SPoly, dot
 from bosonorder.series import Series
 from bosonorder.two_point import TwoPointParams, two_point_egf, two_point_pair
 
@@ -126,7 +126,7 @@ def test_laguerre_rows_closed_form():
     tri = array_coeffs(group_inverse(catalog("laguerre", 9)), 8)
     for n in range(9):
         for k in range(n + 1):
-            want = binomial(n, k) * Fraction(factorial(n), factorial(k))
+            want = comb(n, k) * Fraction(factorial(n), factorial(k))
             assert tri.entry(n, k) == want
 
 
@@ -137,7 +137,7 @@ def test_abel_rows():
     for n in range(1, 9):
         want = [Fraction(0)] * (n + 1)
         for j in range(n):
-            want[j + 1] = binomial(n - 1, j) * Fraction((-n) ** (n - 1 - j))
+            want[j + 1] = comb(n - 1, j) * Fraction((-n) ** (n - 1 - j))
         assert tri.row_poly(n) == want
 
 
@@ -428,7 +428,7 @@ def test_ordinary_pascal():
     tri = array_coeffs(RiordanPair(d, z * d), 8)
     for n in range(9):
         for k in range(n + 1):
-            want = binomial(n, k) * factorial(n) // factorial(k)
+            want = comb(n, k) * factorial(n) // factorial(k)
             assert tri.entry(n, k) == want
 
 

@@ -6,8 +6,8 @@ from math import gcd
 import pytest
 from hypothesis import example, given, strategies as st
 
-from bosonorder.scalars import (SPoly, as_s, as_spoly, binomial, dot,
-                                falling_row, format_rational, parse_rational)
+from bosonorder.scalars import (SPoly, as_s, as_spoly, dot, falling_row,
+                                format_rational, parse_rational)
 
 S = SPoly.s()
 
@@ -23,6 +23,11 @@ def test_parse_format_round_trip():
         parse_rational("1.5x")
     with pytest.raises(ValueError):
         parse_rational("1/0")
+    assert parse_rational("-1.5") == Fraction(-3, 2)
+    # Fraction would expand "1e10000000" into ten million digits first
+    for text in ("1e3", "2E-1", "1.5e2", "1e10000000"):
+        with pytest.raises(ValueError, match="exponent"):
+            parse_rational(text)
 
 
 def test_falling():
@@ -32,6 +37,30 @@ def test_falling():
     # stride 0 degenerates to a plain power
     assert falling_row(3, 4, 0)[4] == 81
     assert falling_row(Fraction(1, 2), 2, 1)[2] == Fraction(-1, 4)
+
+
+ints_st = st.integers(-12, 12)
+
+
+@given(st.one_of(st.tuples(ints_st, ints_st),
+                 st.tuples(fractions_st, fractions_st),
+                 st.tuples(spoly_st, spoly_st)),
+       st.integers(0, 7))
+@example((7, 0), 4)
+@example((7, -2), 3)
+@example((Fraction(1, 2), Fraction(-1, 3)), 0)
+@example((S, Fraction(1, 2) - S), 3)
+def test_falling_row_is_the_product_of_its_factors(xh, n):
+    x, h = xh
+    row = falling_row(x, n, h)
+    assert len(row) == n + 1
+    for m, got in enumerate(row):
+        want = x ** 0
+        for j in range(m):
+            want = want * (x - j * h)
+        assert got == want
+        # the row stays in the ring of its arguments
+        assert type(got) is type(x)
 
 
 def test_spoly_basics():
@@ -79,12 +108,6 @@ def test_spoly_coercion_and_invariants():
     assert SPoly.const(3) == 3
     assert ((1 + S) - S).degree == 0
     assert (S - S).is_zero()
-
-
-def test_binomial_outside_range():
-    assert binomial(4, 2) == 6
-    assert binomial(4, -1) == 0
-    assert binomial(4, 5) == 0
 
 
 @given(spoly_st, spoly_st, spoly_st)

@@ -146,10 +146,11 @@ def _laguerre_power(orig):
 
 def _blasiak_identity_check(orig):
     def fault(p, nd, nl):
-        out = orig(p, nd, nl)
-        if p == catalog("hermite", p.first.order):
-            out = {"equal": False, "mismatches": [(2, 1), (3, 0)]}
-        return out
+        hermite = p == catalog("hermite", p.first.order)
+        for n, m, got, want in orig(p, nd, nl):
+            if hermite and (n, m) in ((2, 1), (3, 0)):
+                got = got + Series.variable(got.order) ** 2
+            yield n, m, got, want
     return fault
 
 
@@ -205,7 +206,7 @@ FAULTS = [
     ("laguerre_power", _laguerre_power, "laguerre",
      [(3, "anti (0,3): -12 != -6")]),
     ("blasiak_identity_check", _blasiak_identity_check, "blasiak",
-     [(1, "mismatches at [(2, 1), (3, 0)]")]),
+     [(1, "lambda^3 a^0 ad^2: 1 != 0")]),
     ("quartic_leading_coeffs", _quartic_leading_coeffs, "e2-quartic",
      [(12, "(1, 0) != (0, 0)"), (13, "(1, 0) != (0, 0)")]),
 ]
