@@ -246,9 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact generalized-Stirling arrays and s-ordered "
                     "expansions of boson operators.")
     sub = parser.add_subparsers(dest="command", required=True)
-    # argparse only recognizes -1 or -1.5 as values rather than flags; teach
-    # every parser that -1/3 is a value too, so "--B -1/3" parses.
-    rational = re.compile(r"^-\d+(/\d+)?$")
+    # argparse only recognizes -1 or -1.5 as values rather than flags; no
+    # flag starts with "-" and a digit or ".", so every parser passes such a
+    # word on as a value ("--B -1/3", "--s -.5") and parse_rational judges it.
+    rational = re.compile(r"^-[\d.]")
     parser._negative_number_matcher = rational
     for name, (text, specs, handler) in COMMANDS.items():
         sp = sub.add_parser(name, help=text)

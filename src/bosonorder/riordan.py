@@ -36,11 +36,9 @@ constant term and cannot annihilate constants).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
-from operator import mul
 
-from .scalars import SPoly, _over_lcm, as_spoly, dot
+from .scalars import SPoly, _over_lcm, _sum_products, as_spoly, dot
 from .series import Series
 
 
@@ -196,33 +194,23 @@ def pair_to_egf(p: RiordanPair, N: int) -> BivariateEGF:
     carried only at order N - k: each step multiplies at the next lower
     order and visits none of the k leading zeros of d h^k at order N.
 
-    When every coefficient of d and H is a constant (every call at numeric
-    s), both go over the lcms of their denominators once, d = A/d_d and
-    H = B/d_H, and column k is the integer list A B^k over d_d d_H^k k!:
+    d and H go over the lcms of their denominators once, d = A/d_d and
+    H = B/d_H, and column k is the numerator list A B^k over d_d d_H^k k!:
     the weight 1/k! rides in the running denominator, each step is one
-    integer convolution, and each entry is reduced once.  Over Q[s] each
-    step is a Series product and each entry of column k is scaled by 1/k!.
+    convolution of numerators, and each entry is reduced once.  The
+    numerators are integers when every coefficient of d and H is a constant
+    (every call at numeric s), and lie in Z[s] otherwise.
     """
     if N > p.order:
         raise ValueError(f"truncation order {p.order} insufficient for N={N}")
-    d, H = p.first.coeffs[:N + 1], p.second.coeffs[1:N + 1]
+    (A, den), (B, d_H) = _over_lcm(p.first.coeffs[:N + 1],
+                                   p.second.coeffs[1:N + 1])
     cols = []
-    if all(c.is_rational() for c in d + H):
-        A, den = _over_lcm(d)
-        B, d_H = _over_lcm(H)
-        for k in range(N + 1):
-            cols.append([SPoly.ratio(x, den) for x in A])
-            if k < N:
-                A = [sum(map(mul, A[:j + 1], B[j::-1])) for j in range(N - k)]
-                den *= d_H * (k + 1)
-    else:
-        acc = Series(d, N)
-        H = Series(H, N - 1) if N else None
-        for k in range(N + 1):
-            w = SPoly.const(Fraction(1, factorial(k)))
-            cols.append(acc.coeffs if w == 1 else [w * c for c in acc.coeffs])
-            if k < N:
-                acc = Series(acc.coeffs, N - k - 1) * H
+    for k in range(N + 1):
+        cols.append([SPoly.ratio(x, den) for x in A])
+        if k < N:
+            A = [_sum_products(A[:j + 1], B[j::-1]) for j in range(N - k)]
+            den *= d_H * (k + 1)
     return BivariateEGF([[cols[k][n - k] for k in range(n + 1)]
                          for n in range(N + 1)], N)
 

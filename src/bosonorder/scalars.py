@@ -9,11 +9,14 @@ the operator-ordering convention:
     s = +1  anti-normal order   (annihilators to the left)
 
 Keeping s symbolic by default means one computation covers the whole family;
-a numeric choice of s gives the symbolic result evaluated at s.  Numeric s
-may take faster integer lanes -- :func:`convolve` here, the reciprocal,
-binomial series and reversion in ``series``, the array column loop in
-``riordan`` and the Sheffer pair ``two_point.two_point_pair`` -- but the
-kernels pick them from the data (constants only), never from an option.
+a numeric choice of s gives the symbolic result evaluated at s.  The
+closed-route kernels -- reversion in ``series``, the array column loop in
+``riordan`` and the Sheffer pair ``two_point.two_point_pair`` -- each run
+one loop on numerators over one known denominator (:func:`_over_lcm`,
+:func:`_sum_products`): integers when every coefficient is a constant (at
+numeric s), polynomials in Z[s] otherwise.  :func:`convolve` and the
+reciprocal in ``series`` keep an integer lane beside their Q[s] one, which
+is faster over Q[s].  The data picks the ring, never an option.
 
 Rationals are ``fractions.Fraction`` throughout (exact, lowest terms,
 positive denominator).  Serialized rationals are strings "p/q" or "p".
@@ -182,9 +185,13 @@ class SPoly:
         return SPoly((Fraction(q),))
 
     @staticmethod
-    def ratio(n: int, d: int) -> "SPoly":
-        """The constant n/d for integers n and d > 0, reduced by one gcd."""
-        return _canonical([n], d, d)
+    def ratio(n, d: int) -> "SPoly":
+        """n/d for an integer d > 0 and an int or SPoly n (a numerator in
+        Z[s] from :func:`_over_lcm`), reduced by one gcd."""
+        if type(n) is int:
+            return _canonical([n], d, d)
+        d *= n._den
+        return _canonical(n._num, d, d)
 
     # -- queries ---------------------------------------------------------
 
@@ -477,20 +484,40 @@ def convolve(xs, ys, n: int) -> list:
     if (any(len(c._num) > 1 for c in xs)
             or any(len(c._num) > 1 for c in ys)):
         return [dot(xs[:k + 1], ys[k::-1]) for k in range(n + 1)]
-    a, da = _over_lcm(xs)
-    b, db = _over_lcm(ys)
+    (a, da), (b, db) = _over_lcm(xs, ys)
     d = da * db
     return [SPoly.ratio(sum(map(mul, a, b[k::-1])), d) for k in range(n + 1)]
 
 
-def _over_lcm(cs) -> tuple:
-    """Constant SPolys as integer numerators over the lcm of their
-    denominators: (list of numerators, lcm)."""
-    den = 1
-    for c in cs:
-        if c._den != 1:
-            den = lcm(den, c._den)
-    return [c._num[0] * (den // c._den) if c._num else 0 for c in cs], den
+def _over_lcm(*lists) -> list:
+    """Each list of SPolys as numerators over the lcm of its denominators:
+    one (numerators, lcm) per list.  The numerators are ints when every
+    coefficient of every list is a constant, and SPolys in Z[s]
+    (denominator 1) otherwise, so the lists that a kernel combines share
+    one ring, picked from the data."""
+    ints = all(len(c._num) <= 1 for cs in lists for c in cs)
+    out = []
+    for cs in lists:
+        den = 1
+        for c in cs:
+            if c._den != 1:
+                den = lcm(den, c._den)
+        if ints:
+            out.append(([c._num[0] * (den // c._den) if c._num else 0
+                         for c in cs], den))
+        else:
+            out.append(([_canonical([n * (den // c._den) for n in c._num],
+                                    1, 1) for c in cs], den))
+    return out
+
+
+def _sum_products(xs, ys):
+    """The sum of x*y over paired numerators from :func:`_over_lcm`, xs
+    nonempty: one integer ``sum(map(mul, ...))`` on ints, :func:`dot` on
+    SPolys in Z[s]."""
+    if type(xs[0]) is int:
+        return sum(map(mul, xs, ys))
+    return dot(xs, ys)
 
 
 def _canonical(num: list, den: int, g: int) -> SPoly:

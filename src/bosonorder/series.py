@@ -18,16 +18,13 @@ factors are all constants (every product at numeric s) goes through
 lcm of its denominators once, and each coefficient is one integer sum of
 products, reduced by one gcd.  A reciprocal over Q takes the same integer
 lane, 1/f = d/(sum_k A_k z^k) with d the lcm of f's denominators, by a
-triangular solve on the integers A_k; so does the binomial series at
-constant c and a, whose coefficient n is one integer product over L^n n!
-with L the lcm of the two denominators.  Reversion over Q takes it too:
-z/f is put over the lcm d of its denominators once, z/f = P/d, and each
-power (z/f)^n is the integer list P^n over d^n, one integer convolution
-per n with no gcd, read off with one reduction per coefficient.  None of
-these lanes calls ``dot`` or multiplies an SPoly, and neither does the
-integer lane of the two-point Sheffer pair, ``two_point.two_point_pair``,
-which builds its binomial factors as integer generalized factorials and
-needs no Series product.
+triangular solve on the integers A_k.  The binomial series takes rational
+c and a only; its coefficient n is one integer product over L^n n!, with L
+the lcm of the two denominators.  Reversion has one loop for every s: z/f
+is put over the lcm d of its denominators once, z/f = P/d, and each power
+(z/f)^n is the numerator list P^n over d^n, one convolution per n with no
+gcd, read off with one reduction per coefficient; the numerators are
+integers over Q and polynomials in Z[s] otherwise.
 Composition is Horner's rule with truncated steps: the partial sum that has
 just taken f_k is later multiplied by inner^k, so it is carried only to order
 N - k.  Reversion is Lagrange inversion, g_n = (1/n) [z^(n-1)] (z/f)^n
@@ -39,11 +36,10 @@ composed with the inverse, u(g), by the Lagrange-Bürmann formula.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from operator import mul
 
-from .scalars import (SPoly, _over_lcm, as_spoly, convolve, dot, falling_row,
-                      format_power, format_terms)
+from .scalars import (SPoly, _over_lcm, _sum_products, as_spoly, convolve, dot,
+                      falling_row, format_power, format_terms)
 
 
 class Series:
@@ -87,29 +83,28 @@ class Series:
 
     @staticmethod
     def binomial(c, a, order: int) -> "Series":
-        """(1 + c z)^(a/c) = sum_n (a | c)_n z^n/n! for c and a in Q[s], with
-        the generalized factorial (a | c)_n = a (a - c) ... (a - (n-1) c)
+        """(1 + c z)^(a/c) = sum_n (a | c)_n z^n/n! for rational c and a,
+        with the generalized factorial (a | c)_n = a (a - c) ... (a - (n-1) c)
         read from :func:`~bosonorder.scalars.falling_row`.
 
-        At constant c and a (every call at numeric s), both are put over
-        their lcm L, c = gamma/L and a = alpha/L, and coefficient n is the
-        integer (alpha | gamma)_n over L^n n!, reduced by one gcd.  Over
-        Q[s] coefficient n is the SPoly (a | c)_n divided by n!.  Either way
-        c = 0 gives e^(a z), and nothing is divided by c.
+        Both are put over their lcm L, c = gamma/L and a = alpha/L, and
+        coefficient n is the integer (alpha | gamma)_n over L^n n!, reduced
+        by one gcd.  c = 0 gives e^(a z), and nothing is divided by c.  A c
+        or a in which s occurs raises ValueError.
 
         >>> print(Series.binomial(2, 1, 3))
         1 + z - 1/2*z^2 + 1/2*z^3 + O(z^4)
         """
         c, a = as_spoly(c), as_spoly(a)
-        if c.is_rational() and a.is_rational():
-            (gamma, alpha), lcd = _over_lcm((c, a))
-            out, den = [], 1  # den = L^n n!
-            for n, num in enumerate(falling_row(alpha, order, gamma)):
-                out.append(SPoly.ratio(num, den))
-                den *= lcd * (n + 1)
-            return Series(out, order)
-        return Series([t / factorial(n) for n, t in
-                       enumerate(falling_row(a, order, c))], order)
+        if not (c.is_rational() and a.is_rational()):
+            raise ValueError(f"binomial series needs rational c and a, "
+                             f"not {c} and {a}")
+        [((gamma, alpha), lcd)] = _over_lcm((c, a))
+        out, den = [], 1  # den = L^n n!
+        for n, num in enumerate(falling_row(alpha, order, gamma)):
+            out.append(SPoly.ratio(num, den))
+            den *= lcd * (n + 1)
+        return Series(out, order)
 
     # -- queries ---------------------------------------------------------
 
@@ -208,7 +203,7 @@ class Series:
                 f"constant term {cs[0]} is not invertible; cannot take reciprocal"
             )
         if all(c.is_rational() for c in cs):
-            a, d = _over_lcm(cs)
+            [(a, d)] = _over_lcm(cs)
             a0 = a[0]
             # b_k = A_(k+1) A_0^k, and each C_n is one sum against C reversed
             b, p = [], 1
@@ -279,20 +274,19 @@ class Series:
         Requires zero constant term and an invertible linear coefficient,
         a rational unit c = f_1.  Lagrange inversion: with phi = z/f, whose
         constant term is 1/c, g_n = (1/n) [z^(n-1)] phi^n.  phi is one
-        reciprocal at order N - 1, and one running product P = phi^n gives
-        every g_n, so reversion costs N products, O(N^3), and no composition.
+        reciprocal at order N - 1, and one running power phi^n gives every
+        g_n, so reversion costs N products, O(N^3), and no composition.
         The Lagrange-Bürmann formula (Stanley, EC2, sec. 5.4) reads u o g off
         the same powers, [z^n] u(g) = (1/n) [z^(n-1)] u' phi^n for n >= 1,
         at the order min(N, u.order).
 
-        When every coefficient of f and of u' is a constant (every call at
-        numeric s), phi = P/d_phi and u' = D/d_u go over the lcms of their
-        denominators once, and phi^n is carried as the integer list P^n over
-        d_phi^n: each step is one integer convolution with P and no gcd.
-        Then g_n = P^n_(n-1)/(n d_phi^n), and [z^n] u(g) is one integer dot
-        of D with P^n over n d_phi^n d_u, each reduced once.  Otherwise each
-        step is a Series product and [z^n] u(g) one
-        :func:`~bosonorder.scalars.dot`.
+        phi = P/d_phi and u' = D/d_u go over the lcms of their denominators
+        once, and phi^n is carried as the numerator list P^n over d_phi^n:
+        each step is one convolution with P and no gcd.  Then
+        g_n = P^n_(n-1)/(n d_phi^n), and [z^n] u(g) is one sum of products
+        of D with P^n over n d_phi^n d_u, each reduced once.  The numerators
+        are integers when every coefficient of phi and u' is a constant
+        (every call at numeric s), and lie in Z[s] otherwise.
 
         >>> z = Series.variable(4)
         >>> print((1 + z).log().revert())
@@ -309,34 +303,21 @@ class Series:
             raise ValueError(f"linear coefficient {c1} is not invertible")
         N = self.order
         phi = Series(self.coeffs[1:], N - 1).reciprocal()
-        u = Series.zero(0) if outer is None else outer  # order 0: no dots
+        u = Series.zero(0) if outer is None else outer  # order 0: no sums
         m = min(N, u.order)
-        us = u.coeffs[1:m + 1]
+        (P, d_phi), (U, d_u) = _over_lcm(phi.coeffs, u.coeffs[1:m + 1])
+        D = [k * x for k, x in enumerate(U, 1)]
         g, ug = [SPoly()], [u.coeffs[0]]
-        if all(c.is_rational() for c in phi.coeffs + us):
-            P, d_phi = _over_lcm(phi.coeffs)
-            U, d_u = _over_lcm(us)
-            D = [k * x for k, x in enumerate(U, 1)]
-            power, den = P, d_phi
-            for n in range(1, N + 1):
-                g.append(SPoly.ratio(power[n - 1], n * den))
-                if n <= m:
-                    ug.append(SPoly.ratio(sum(map(mul, D, power[n - 1::-1])),
-                                          n * den * d_u))
-                if n < N:
-                    power = [sum(map(mul, power[:k + 1], P[k::-1]))
-                             for k in range(N)]
-                    den *= d_phi
-        else:
-            du = [k * c for k, c in enumerate(us, 1)]  # u'
-            power = phi
-            for n in range(1, N + 1):
-                p = power.coeffs
-                g.append(p[n - 1] / n)
-                if n <= m:
-                    ug.append(dot(du[:n], p[n - 1::-1]) / n)
-                if n < N:
-                    power = power * phi
+        power, den = P, d_phi
+        for n in range(1, N + 1):
+            g.append(SPoly.ratio(power[n - 1], n * den))
+            if n <= m:
+                ug.append(SPoly.ratio(_sum_products(D, power[n - 1::-1]),
+                                      n * den * d_u))
+            if n < N:
+                power = [_sum_products(power[:k + 1], P[k::-1])
+                         for k in range(N)]
+                den *= d_phi
         g = Series(g, N)
         return g if outer is None else (g, Series(ug, m))
 

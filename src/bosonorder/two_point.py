@@ -28,14 +28,14 @@ Every coefficient is a product of linear factors, read from the one
 generalized factorial ``scalars.falling_row``, so one formula holds at
 every (A, B), the limits A = 0 and B = 0 included.
 
-At a constant s the pair is built on integers.  With s = u/q in lowest
-terms, 2q w+ = q + u and 2q w- = q - u are integers; with A, B, r, r' over
-their lcm L, coefficient n of each binomial factor is an integer
-generalized factorial over (2qL)^n n!, each half of g is a binomial
-convolution of two of them, and every coefficient of g and f is one integer
-over a known denominator, reduced once (the common-denominator method of
-Knuth, TAOCP Vol. 2, sec. 4.5.1).  The data picks this lane; over Q[s] the
-same series are built by SPoly arithmetic.
+The pair is built by one loop for every s.  With s = u/q (u and q
+integers in lowest terms at a constant s; u = s and q = 1 at symbolic s),
+2q w+ = q + u and 2q w- = q - u are numerators, integers or in Z[s]; with
+A, B, r, r' over their lcm L, coefficient n of each binomial factor is a
+generalized factorial of them over (2qL)^n n!, each half of g is a
+convolution of two of them, and every coefficient of g and f is one
+numerator over a known denominator, reduced once (the common-denominator
+method of Knuth, TAOCP Vol. 2, sec. 4.5.1).
 
 For a word (A, B, r, r') = (e, 1, -L, R) everything is integral in w-:
 n! [z^n] of g, f, gbar and fbar lie in Z[w-], of degree at most n, n - 1,
@@ -67,9 +67,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lcm
-from operator import add, mul
+from operator import mul
 
-from .scalars import SPoly, as_s, falling_row
+from .scalars import SPoly, _over_lcm, _sum_products, as_s, falling_row
 from .series import Series
 from .riordan import BivariateEGF, RiordanPair, group_inverse, pair_to_egf
 
@@ -99,71 +99,49 @@ class TwoPointParams:
 def two_point_pair(p: TwoPointParams, N: int) -> RiordanPair:
     """The Sheffer pair [g, f] of the two-point family, at order N.
 
-    At a constant s every coefficient is one integer over a known
-    denominator: with s = u/q in lowest terms and A, B, r, r' over their
-    lcm L, each of the four binomial factors has coefficient n an integer
-    generalized factorial over (2qL)^n n!, so each half of g is a binomial
-    convolution of integers and
+    Every coefficient is one numerator over a known denominator.  With
+    s = u/q (u an integer at a constant s, u = s and q = 1 at symbolic s)
+    and A, B, r, r' over their lcm L, each of the four binomial factors has
+    coefficient n a generalized factorial over (2qL)^n n!; scaled by N!/n!,
+    each half of g is a plain convolution of the factors' numerators, and
 
-        g_n = ((q+u) H_r[n] + (q-u) H_r'[n]) / (2q (2qL)^n n!)
+        g_n = ((q+u) H_r[n] + (q-u) H_r'[n]) / (2q (N!)^2 (2qL)^n)
         f_n = ((q+u)^n - (u-q)^n) L (a + b) ... (a + (n-1) b) / ((2qL)^n n!)
 
-    with A = a/L, B = b/L, and H_r[n] = sum_i C(n, i) X_i Y_(n-i) over the
-    integer generalized factorials X and Y of the two factors.  Each
-    coefficient is reduced once, and no SPoly is multiplied.  Over Q[s]
-    the series are built by SPoly arithmetic.
+    with A = a/L, B = b/L, and H_r[n] = sum_i X_i Y_(n-i) over the scaled
+    numerators X and Y of the two factors.  Each coefficient is reduced
+    once.  The numerators are integers at a constant s and lie in Z[s]
+    otherwise.
 
     >>> print(two_point_pair(TwoPointParams(1, 1, -1, 1, 0), 4).second)
     z + 1/4*z^3 + O(z^5)
     """
-    if p.s.is_rational():
-        return _two_point_pair_over_z(p, N)
-    wp = (1 + p.s) / 2
-    wm = (1 - p.s) / 2
-
-    def power(r):  # (P/M)^(-r/B)
-        return (Series.binomial(wm * p.B, -r * wm, N)
-                * Series.binomial(-wp * p.B, -r * wp, N))
-
-    g = wp * power(p.r) + wm * power(p.rp)
-    f = [SPoly()]
-    up, down = SPoly.const(1), SPoly.const(1)  # w+^n and (-w-)^n
-    # entry n - 1 is (A + B) ... (A + (n-1) B)
-    fall = falling_row(p.A + p.B, N - 1, -p.B)
-    for n in range(1, N + 1):
-        up, down = up * wp, -(down * wm)
-        f.append((up - down) * (fall[n - 1] / factorial(n)))
-    return RiordanPair(g, Series(f, N))
-
-
-def _two_point_pair_over_z(p: TwoPointParams, N: int) -> RiordanPair:
-    """``two_point_pair`` at a constant s, on integers (see its docstring)."""
-    s = p.s.as_rational()
-    q = s.denominator
-    up, down = q + s.numerator, q - s.numerator  # 2q w+ and 2q w-
+    [([u], q)] = _over_lcm((p.s,))
+    up, down = q + u, q - u  # 2q w+ and 2q w-
     L = lcm(p.A.denominator, p.B.denominator,
             p.r.denominator, p.rp.denominator)
     a, b, rho, rhop = (int(x * L) for x in (p.A, p.B, p.r, p.rp))
+    scale = [factorial(N) // factorial(n) for n in range(N + 1)]
 
-    def factors(rho):  # (2qL)^n n! [z^n] of the two factors of (P/M)^(-r/B)
-        return (falling_row(-down * rho, N, down * b),
-                falling_row(-up * rho, N, -up * b))
+    def factors(rho):  # (2qL)^n N! [z^n] of the two factors of (P/M)^(-r/B)
+        return ([*map(mul, falling_row(-down * rho, N, down * b), scale)],
+                [*map(mul, falling_row(-up * rho, N, -up * b), scale)])
 
     (x, y), (xp, yp) = factors(rho), factors(rhop)
     # entry n >= 1 is (a + b) ... (a + (n-1) b); f_0 = 0
     fall = [0, *falling_row(a + b, N - 1, -b)]
     g, f = [], []
-    row = [1]  # C(n, i), i = 0 .. n
-    den = 1  # (2qL)^n n!
+    g_den = 2 * q * scale[0] ** 2  # 2q (N!)^2 (2qL)^n
+    f_den = 1  # (2qL)^n n!
     pos, neg = 1, 1  # (q+u)^n and (u-q)^n
     for n in range(N + 1):
-        h = sum(map(mul, map(mul, row, x), y[n::-1]))
-        hp = sum(map(mul, map(mul, row, xp), yp[n::-1]))
-        g.append(SPoly.ratio(up * h + down * hp, 2 * q * den))
-        f.append(SPoly.ratio((pos - neg) * L * fall[n], den))
+        h = _sum_products(x[:n + 1], y[n::-1])
+        hp = _sum_products(xp[:n + 1], yp[n::-1])
+        g.append(SPoly.ratio(up * h + down * hp, g_den))
+        f.append(SPoly.ratio((pos - neg) * (L * fall[n]), f_den))
         pos, neg = pos * up, -neg * down
-        den *= 2 * q * L * (n + 1)
-        row = [1, *map(add, row, row[1:]), 1]
+        g_den *= 2 * q * L
+        f_den *= 2 * q * L * (n + 1)
     return RiordanPair(Series(g, N), Series(f, N))
 
 

@@ -183,6 +183,20 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                        "No such file or directory\n")
 
 
+@pytest.mark.parametrize("argv,flag,value", [
+    (["hs-triangle", "--B", "1", "--r", "0", "--N", "2"], "--A", "-1.5"),
+    (["order", "--L", "1", "--R", "1", "--N", "1"], "--s", "-.5"),
+    (["order", "--L", "1", "--R", "1", "--N", "1"], "--s", "-1."),
+    (["two-point-egf", "--A", "2", "--B", "1", "--r", "-2", "--N", "2"],
+     "--r-prime", "-5/2"),
+])
+def test_negative_decimals_are_values_not_flags(capsys, argv, flag, value):
+    # a negative number as its own word reads like "--A=-1.5"
+    code, out = run_cli(capsys, *argv, flag, value)
+    assert code == 0
+    assert (0, out) == run_cli(capsys, *argv, f"{flag}={value}")
+
+
 def test_precondition_errors_exit_3(capsys):
     code = cli.main(["order", "--L", "0", "--R", "0"])
     assert code == 3

@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bosonorder.ordering import (SingleAnnihilatorWord, SymbolSeries,
                                  blasiak_identity_check, exp_number_closed_form,
@@ -234,3 +235,30 @@ def test_series_container_guards():
     ser = s_ordered_symbol(SingleAnnihilatorWord(1, 0), 0, 2)
     with pytest.raises(AttributeError):
         ser.order = 5
+
+
+word4_st = st.integers(1, 4).flatmap(
+    lambda total: st.integers(0, total).map(
+        lambda L: SingleAnnihilatorWord(L, total - L)))
+numeric_s_st = st.one_of(st.sampled_from([Fraction(-1), Fraction(0),
+                                          Fraction(1)]),
+                         st.fractions(min_value=-3, max_value=3,
+                                      max_denominator=9))
+
+
+@given(word4_st, st.integers(0, 10), numeric_s_st)
+@example(SingleAnnihilatorWord(0, 4), 10, Fraction(-1))
+@example(SingleAnnihilatorWord(4, 0), 10, Fraction(1))
+@example(SingleAnnihilatorWord(2, 1), 10, Fraction(0))
+@example(SingleAnnihilatorWord(1, 2), 9, Fraction(-5, 7))
+@example(SingleAnnihilatorWord(1, 0), 0, Fraction(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_numeric_s_is_the_symbolic_result_evaluated(w, N, s):
+    # the closed route runs one loop in Z at numeric s and in Z[s] at
+    # symbolic s; evaluating the symbolic result is an independent route
+    assert power_symbol(w, N, s) == power_symbol(w, N, S).eval_s(s)
+    numeric = s_ordered_symbol(w, s, N)
+    symbolic = s_ordered_symbol(w, S, N)
+    assert numeric.order == symbolic.order == N
+    for n in range(N + 1):
+        assert numeric[n] == symbolic[n].eval_s(s), n

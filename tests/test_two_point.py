@@ -170,7 +170,8 @@ def test_two_point_pair_matches_exp_log_oracle(a, b, r, rp, s, N):
 @example(2, 1, -2, 1, 1, 8)
 @settings(max_examples=40, deadline=None)
 def test_numeric_pair_is_the_symbolic_pair_evaluated(a, b, r, rp, s, N):
-    # the integer lane at a constant s against the Q[s] loop, evaluated
+    # the loop on integers at a constant s against the same loop over
+    # Z[s], evaluated
     numeric = two_point_pair(TwoPointParams(a, b, r, rp, s), N)
     symbolic = two_point_pair(TwoPointParams(a, b, r, rp, S), N)
     assert numeric == symbolic.eval_s(s)
