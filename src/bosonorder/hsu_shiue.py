@@ -22,9 +22,10 @@ Three independent computational routes are provided and cross-checked:
 
   read off from the generalized factorials (Hsu & Shiue, Adv. Appl. Math.
   20, 1998): d_n = (r | A)_n/n! and h_n = (B - A | A)_(n-1)/n!, since
-  h' = (1 + A z)^((B - A)/A).  Each coefficient is a product of linear
-  factors, so one formula holds for every (A, B), the limits A = 0
-  (exponentials) and B = 0 (a logarithm) included.
+  h' = (1 + A z)^((B - A)/A).  With A, B and r over their lcm L, each is
+  one integer generalized factorial over L^n n!, so one formula holds for
+  every (A, B), the limits A = 0 (exponentials) and B = 0 (a logarithm)
+  included.
 
 Duality: the inverse array of HS(A, B, r) is HS(B, A, -r); negating all
 three parameters multiplies entries by (-1)^(n-k).
@@ -34,25 +35,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 
-from .scalars import SPoly, falling_row
+from .scalars import SPoly, _rationals_over_lcm, as_spoly, falling_row
 from .riordan import BivariateEGF, RiordanPair, Triangle, pair_to_egf
 from .series import Series
 
 
 @dataclass(frozen=True)
 class HSParams:
-    """The parameter triple (A, B, r), stored exactly."""
+    """The parameter triple (A, B, r), stored exactly: ints, Fractions and
+    constant SPolys are read as rationals, and a float raises TypeError."""
 
     A: Fraction
     B: Fraction
     r: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "A", Fraction(self.A))
-        object.__setattr__(self, "B", Fraction(self.B))
-        object.__setattr__(self, "r", Fraction(self.r))
+        for name in ("A", "B", "r"):
+            object.__setattr__(self, name,
+                               as_spoly(getattr(self, name)).as_rational())
 
     def dual(self) -> "HSParams":
         """Parameters of the inverse array."""
@@ -61,9 +63,27 @@ class HSParams:
 
 def hs_pair(p: HSParams, N: int) -> RiordanPair:
     """The exponential Riordan pair [d, h] of HS(A, B, r), order N:
-    d = (1 + A z)^(r/A) and h the integral of (1 + A z)^((B - A)/A)."""
-    h = Series.binomial(p.A, p.B - p.A, N).integral().truncate(N)
-    return RiordanPair(Series.binomial(p.A, p.r, N), h)
+    d = (1 + A z)^(r/A) and h the integral of (1 + A z)^((B - A)/A).
+
+    With A = a/L, B = b/L and r = rho/L over their lcm L, every coefficient
+    is one integer generalized factorial over L^n n!, reduced once:
+
+        d_n = (rho | a)_n / (L^n n!)      h_n = L (b - a | a)_(n-1) / (L^n n!)
+
+    and h_0 = 0.  A = 0 gives exponentials, and nothing is divided by A.
+
+    >>> print(hs_pair(HSParams(1, 2, 1), 3).second)
+    z + 1/2*z^2 + O(z^4)
+    """
+    (a, b, rho), L = _rationals_over_lcm(p.A, p.B, p.r)
+    d_num = falling_row(rho, N, a)
+    h_num = [0, *falling_row(b - a, N - 1, a)]
+    d, h, den = [], [], 1  # den = L^n n!
+    for n in range(N + 1):
+        d.append(SPoly.ratio(d_num[n], den))
+        h.append(SPoly.ratio(L * h_num[n], den))
+        den *= L * (n + 1)
+    return RiordanPair(Series(d, N), Series(h, N))
 
 
 def hs_falling_table(p: HSParams, n: int, k: int) -> list:
@@ -106,8 +126,7 @@ def hs_triangle_rec(p: HSParams, N: int) -> Triangle:
     so each cell costs two integer products and two sums, and is divided
     by L^(n-k) once, at the end.
     """
-    L = lcm(p.A.denominator, p.B.denominator, p.r.denominator)
-    a, b, r = int(p.A * L), int(p.B * L), int(p.r * L)
+    (a, b, r), L = _rationals_over_lcm(p.A, p.B, p.r)
     rows = [[1]]
     for n in range(N):
         prev = rows[-1]

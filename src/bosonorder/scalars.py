@@ -16,7 +16,9 @@ one loop on numerators over one known denominator (:func:`_over_lcm`,
 :func:`_sum_products`): integers when every coefficient is a constant (at
 numeric s), polynomials in Z[s] otherwise.  :func:`convolve` and the
 reciprocal in ``series`` keep an integer lane beside their Q[s] one, which
-is faster over Q[s].  The data picks the ring, never an option.
+is faster over Q[s].  The data picks the ring, never an option.  The
+Hsu-Shiue and two-point kernels read a family's rational parameters as
+integers over their lcm, :func:`_rationals_over_lcm`.
 
 Rationals are ``fractions.Fraction`` throughout (exact, lowest terms,
 positive denominator).  Serialized rationals are strings "p/q" or "p".
@@ -59,10 +61,13 @@ def parse_rational(text: str) -> Fraction:
     Fraction(-3, 4)
 
     Exponent notation ("1e3") raises ValueError, since ``Fraction`` would
-    spend minutes expanding a large exponent; so does a zero denominator.
+    spend minutes expanding a large exponent; so do a digit separator
+    ("1_0") and a zero denominator.
     """
     if "e" in text or "E" in text:
         raise ValueError(f"exponent notation in {text!r}")
+    if "_" in text:  # Fraction reads "1_0" from Python 3.11 on, not on 3.10
+        raise ValueError(f"digit separator in {text!r}")
     try:
         return Fraction(text.replace(" ", ""))
     except ZeroDivisionError:
@@ -509,6 +514,13 @@ def _over_lcm(*lists) -> list:
             out.append(([_canonical([n * (den // c._den) for n in c._num],
                                     1, 1) for c in cs], den))
     return out
+
+
+def _rationals_over_lcm(*qs) -> tuple:
+    """Fractions as integer numerators over the lcm L of their
+    denominators: ([q L for q in qs], L)."""
+    L = lcm(*(q.denominator for q in qs))
+    return [q.numerator * (L // q.denominator) for q in qs], L
 
 
 def _sum_products(xs, ys):

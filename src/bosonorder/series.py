@@ -6,24 +6,22 @@ operand orders, so a result is never silently pretended to more precision
 than its inputs support.  All operations are exact: no floats anywhere.
 
 The operations are the standard formal ones -- Cauchy product, composition,
-compositional reversion, exp/log, rational powers f^q = exp(q log f) for
-series with constant term 1, and the binomial series (1 + c z)^(a/c), whose
-coefficients are generalized factorials.  At truncation order N each costs
-O(N^2) coefficient operations or fewer, except composition and reversion,
-which cost O(N^3).  Every coefficient of a product, a reciprocal, exp and
-log is one multiply-accumulate, :func:`~bosonorder.scalars.dot`, which
-reduces it to lowest terms once, not once per term.  A product whose
-factors are all constants (every product at numeric s) goes through
-:func:`~bosonorder.scalars.convolve` instead: each factor is put over the
-lcm of its denominators once, and each coefficient is one integer sum of
-products, reduced by one gcd.  A reciprocal over Q takes the same integer
-lane, 1/f = d/(sum_k A_k z^k) with d the lcm of f's denominators, by a
-triangular solve on the integers A_k.  The binomial series takes rational
-c and a only; its coefficient n is one integer product over L^n n!, with L
-the lcm of the two denominators.  Reversion has one loop for every s: z/f
-is put over the lcm d of its denominators once, z/f = P/d, and each power
-(z/f)^n is the numerator list P^n over d^n, one convolution per n with no
-gcd, read off with one reduction per coefficient; the numerators are
+compositional reversion, exp/log and rational powers f^q = exp(q log f) for
+series with constant term 1.  At truncation order N each costs O(N^2)
+coefficient operations or fewer, except composition and reversion, which
+cost O(N^3).  Every product goes through
+:func:`~bosonorder.scalars.convolve`, which calls
+:func:`~bosonorder.scalars.dot` only when s occurs; each coefficient is then
+one multiply-accumulate, reduced to lowest terms once, not once per term.
+When every factor is a constant (every product at numeric s), each factor is
+put over the lcm of its denominators once, and each coefficient is one
+integer sum of products, reduced by one gcd.  Exp, log and a reciprocal over
+Q[s] read each coefficient from one ``dot``; a reciprocal over Q takes an
+integer lane, 1/f = d/(sum_k A_k z^k) with d the lcm of f's denominators, by
+a triangular solve on the integers A_k.  Reversion has one loop for every s:
+z/f is put over the lcm d of its denominators once, z/f = P/d, and each
+power (z/f)^n is the numerator list P^n over d^n, one convolution per n with
+no gcd, read off with one reduction per coefficient; the numerators are
 integers over Q and polynomials in Z[s] otherwise.
 Composition is Horner's rule with truncated steps: the partial sum that has
 just taken f_k is later multiplied by inner^k, so it is carried only to order
@@ -39,7 +37,7 @@ from fractions import Fraction
 from operator import mul
 
 from .scalars import (SPoly, _over_lcm, _sum_products, as_spoly, convolve, dot,
-                      falling_row, format_power, format_terms)
+                      format_power, format_terms)
 
 
 class Series:
@@ -80,31 +78,6 @@ class Series:
     def variable(order: int) -> "Series":
         """The series z."""
         return Series((0, 1), order)
-
-    @staticmethod
-    def binomial(c, a, order: int) -> "Series":
-        """(1 + c z)^(a/c) = sum_n (a | c)_n z^n/n! for rational c and a,
-        with the generalized factorial (a | c)_n = a (a - c) ... (a - (n-1) c)
-        read from :func:`~bosonorder.scalars.falling_row`.
-
-        Both are put over their lcm L, c = gamma/L and a = alpha/L, and
-        coefficient n is the integer (alpha | gamma)_n over L^n n!, reduced
-        by one gcd.  c = 0 gives e^(a z), and nothing is divided by c.  A c
-        or a in which s occurs raises ValueError.
-
-        >>> print(Series.binomial(2, 1, 3))
-        1 + z - 1/2*z^2 + 1/2*z^3 + O(z^4)
-        """
-        c, a = as_spoly(c), as_spoly(a)
-        if not (c.is_rational() and a.is_rational()):
-            raise ValueError(f"binomial series needs rational c and a, "
-                             f"not {c} and {a}")
-        [((gamma, alpha), lcd)] = _over_lcm((c, a))
-        out, den = [], 1  # den = L^n n!
-        for n, num in enumerate(falling_row(alpha, order, gamma)):
-            out.append(SPoly.ratio(num, den))
-            den *= lcd * (n + 1)
-        return Series(out, order)
 
     # -- queries ---------------------------------------------------------
 
@@ -357,11 +330,6 @@ class Series:
             raise ValueError("cannot differentiate an order-0 truncation")
         return Series(((n + 1) * self.coeffs[n + 1] for n in range(self.order)),
                       self.order - 1)
-
-    def integral(self) -> "Series":
-        """The antiderivative with zero constant term; the order rises by one."""
-        return Series([SPoly()] + [c / (n + 1) for n, c in enumerate(self.coeffs)],
-                      self.order + 1)
 
     # -- evaluation of s -------------------------------------------------
 

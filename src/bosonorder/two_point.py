@@ -66,10 +66,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from operator import mul
 
-from .scalars import SPoly, _over_lcm, _sum_products, as_s, falling_row
+from .scalars import (SPoly, _over_lcm, _rationals_over_lcm, _sum_products,
+                      as_s, as_spoly, falling_row)
 from .series import Series
 from .riordan import BivariateEGF, RiordanPair, group_inverse, pair_to_egf
 
@@ -78,8 +79,9 @@ from .riordan import BivariateEGF, RiordanPair, group_inverse, pair_to_egf
 class TwoPointParams:
     """Parameters (A, B, r, r') plus the ordering parameter s.
 
-    A, B, r, rp are exact rationals; s is an SPoly and defaults to the
-    symbol s itself (numeric orderings are evaluations).
+    A, B, r, rp are exact rationals (ints, Fractions and constant SPolys
+    are read as rationals, and a float raises TypeError); s is an SPoly and
+    defaults to the symbol s itself (numeric orderings are evaluations).
     """
 
     A: Fraction
@@ -89,10 +91,9 @@ class TwoPointParams:
     s: SPoly = field(default_factory=SPoly.s)
 
     def __post_init__(self):
-        object.__setattr__(self, "A", Fraction(self.A))
-        object.__setattr__(self, "B", Fraction(self.B))
-        object.__setattr__(self, "r", Fraction(self.r))
-        object.__setattr__(self, "rp", Fraction(self.rp))
+        for name in ("A", "B", "r", "rp"):
+            object.__setattr__(self, name,
+                               as_spoly(getattr(self, name)).as_rational())
         object.__setattr__(self, "s", as_s(self.s))
 
 
@@ -118,9 +119,7 @@ def two_point_pair(p: TwoPointParams, N: int) -> RiordanPair:
     """
     [([u], q)] = _over_lcm((p.s,))
     up, down = q + u, q - u  # 2q w+ and 2q w-
-    L = lcm(p.A.denominator, p.B.denominator,
-            p.r.denominator, p.rp.denominator)
-    a, b, rho, rhop = (int(x * L) for x in (p.A, p.B, p.r, p.rp))
+    (a, b, rho, rhop), L = _rationals_over_lcm(p.A, p.B, p.r, p.rp)
     scale = [factorial(N) // factorial(n) for n in range(N + 1)]
 
     def factors(rho):  # (2qL)^n N! [z^n] of the two factors of (P/M)^(-r/B)

@@ -151,12 +151,15 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         assert exc.value.code == 2
         err = capsys.readouterr().err.splitlines()[-1]
         assert err.endswith(f"invalid {kind} value: {bad!r}")
-    # exponent notation is refused before anything runs; a decimal is not
+    # exponent notation and digit separators are refused before anything
+    # runs, on every Python; a decimal is not
     for argv, kind, bad in (
             (["order", "--L", "1", "--R", "0", "--s", "1e5000", "--N", "1"],
              "ordering", "1e5000"),
             (["hs-triangle", "--A", "1E3", "--B", "1", "--r", "0"],
-             "rational", "1E3")):
+             "rational", "1E3"),
+            (["hs-triangle", "--A", "1_0", "--B", "1", "--r", "0",
+              "--N", "1"], "rational", "1_0")):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2

@@ -12,7 +12,8 @@ from bosonorder import hsu_shiue
 from bosonorder.hsu_shiue import (HSParams, hs_coeff_sum, hs_egf, hs_pair,
                                   hs_pde_residual, hs_triangle_rec)
 from bosonorder.riordan import Triangle, group_inverse
-from bosonorder.scalars import falling_row
+from bosonorder.scalars import SPoly, as_spoly, falling_row
+from bosonorder.series import Series
 
 param_st = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 nonzero_st = param_st.filter(lambda q: q != 0)
@@ -78,6 +79,64 @@ wide_param_st = st.one_of(st.just(Fraction(0)), param_st,
 def test_integer_recurrence_matches_the_fraction_recurrence(a, b, r, N):
     p = HSParams(a, b, r)
     assert hs_triangle_rec(p, N) == Triangle(N, _hs_rows_by_fractions(p, N))
+
+
+@given(st.one_of(st.just(Fraction(0)), param_st), param_st, param_st)
+@example(Fraction(0), Fraction(1), Fraction(-5, 2))
+@example(Fraction(-2, 3), Fraction(1, 3), Fraction(1))
+@settings(max_examples=30, deadline=None)
+def test_pair_is_exp_of_a_scaled_log(a, b, r):
+    # d = (1 + A z)^(r/A) and h' = (1 + A z)^((B - A)/A), each of them
+    # exp((c/A) log(1 + A z)), and e^(c z) at A = 0
+    def power(c, order):
+        z = Series.variable(order)
+        return (c * z).exp() if a == 0 else ((1 + a * z).log() * (c / a)).exp()
+
+    N = 8
+    pair = hs_pair(HSParams(a, b, r), N)
+    d, h = pair.first, pair.second
+    assert d == power(r, N)
+    assert h[0] == 0 and h.deriv() == power(b - a, N - 1)
+
+
+def _binomial_by_steps(c, a, order: int) -> Series:
+    """(1 + c z)^(a/c) by the product step t_n = t_(n-1) (a - (n-1) c)/n."""
+    c, step = as_spoly(c), as_spoly(a)
+    out = [SPoly.const(1)]
+    for n in range(1, order + 1):
+        out.append(out[-1] * step / n)
+        step = step - c
+    return Series(out, order)
+
+
+@settings(deadline=None)
+@given(wide_param_st, wide_param_st, wide_param_st, st.integers(0, 16))
+@example(0, Fraction(5, 3), Fraction(-1, 2), 8)  # A = 0: exponentials
+@example(Fraction(2, 7), 0, Fraction(3), 8)  # B = 0: a logarithm
+@example(0, 0, 0, 3)
+@example(Fraction(-3, 4), Fraction(-3, 4), Fraction(-5, 9), 16)  # h = z
+@example(Fraction(1, 3), Fraction(2), 0, 8)  # r = 0: d = 1
+@example(Fraction(1, 3), Fraction(-1, 2), Fraction(2), 8)  # r/A = 6
+@example(Fraction(5, 6), Fraction(1, 4), Fraction(-1, 10), 0)
+@example(Fraction(5, 6), Fraction(1, 4), Fraction(-1, 10), 1)
+@example(Fraction(1, 999983), Fraction(-7, 1000003), Fraction(3, 999979), 12)
+def test_pair_matches_the_product_steps(a, b, r, N):
+    # the pair is read from integer generalized factorials: it multiplies
+    # and divides no SPoly
+    def refuse(name):
+        def method(self, other):
+            raise AssertionError(f"hs_pair called SPoly.{name}")
+        return method
+
+    p = HSParams(a, b, r)
+    dh = _binomial_by_steps(p.A, p.B - p.A, N)
+    want = (_binomial_by_steps(p.A, p.r, N),
+            Series([0, *(c / n for n, c in enumerate(dh.coeffs, 1))], N))
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("__mul__", "__rmul__", "__truediv__"):
+            mp.setattr(SPoly, name, refuse(name))
+        got = hs_pair(p, N)
+    assert (got.first, got.second) == want
 
 
 @given(nonzero_st, param_st)
@@ -166,3 +225,13 @@ def test_pde_residual_detects_a_wrong_egf(monkeypatch, field, weight):
 def test_params_coercion_and_duality_values():
     p = HSParams(Fraction(1, 2), 2, -1)
     assert p.dual() == HSParams(2, Fraction(1, 2), 1)
+
+
+def test_params_read_rationals_and_refuse_floats():
+    p = HSParams(SPoly.const(Fraction(1, 2)), 2, Fraction(-3))
+    assert (p.A, p.B, p.r) == (Fraction(1, 2), 2, -3)
+    assert all(type(x) is Fraction for x in (p.A, p.B, p.r))
+    # Fraction(0.1) would be 3602879701896397/36028797018963968
+    for args in ((0.1, 1, 0), (0, 1.0, 0), (0, 1, -0.5)):
+        with pytest.raises(TypeError):
+            HSParams(*args)

@@ -28,6 +28,10 @@ def test_parse_format_round_trip():
     for text in ("1e3", "2E-1", "1.5e2", "1e10000000"):
         with pytest.raises(ValueError, match="exponent"):
             parse_rational(text)
+    # Fraction reads digit separators from Python 3.11 on, not on 3.10
+    for text in ("1_0", "-1_000/4", "1/2_0", "1_0.5"):
+        with pytest.raises(ValueError, match="digit separator"):
+            parse_rational(text)
 
 
 def test_falling():

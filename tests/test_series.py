@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bosonorder import scalars, series
-from bosonorder.scalars import SPoly, as_spoly, dot
+from bosonorder.scalars import SPoly, dot
 from bosonorder.series import Series
 
 N = 8
@@ -472,73 +472,6 @@ def test_pow_rational_needs_unit_constant():
     z = Series.variable(3)
     with pytest.raises(ValueError):
         (2 + z).pow_rational(Fraction(1, 2))
-
-
-@given(st.one_of(st.just(Fraction(0)), coeff_st), coeff_st)
-@example(Fraction(0), Fraction(-5, 2))
-@example(Fraction(-2, 3), Fraction(1))
-@settings(max_examples=30, deadline=None)
-def test_binomial_is_exp_of_a_scaled_log(c, a):
-    # (1 + c z)^(a/c) = exp(a log(1 + c z)/c), and e^(a z) at c = 0
-    z = Series.variable(N)
-    want = (a * z).exp() if c == 0 else ((1 + c * z).log() * (a / c)).exp()
-    assert Series.binomial(c, a, N) == want
-
-
-def _binomial_by_steps(c, a, order: int) -> Series:
-    """(1 + c z)^(a/c) by the product step t_n = t_(n-1) (a - (n-1) c)/n."""
-    c, step = as_spoly(c), as_spoly(a)
-    out = [SPoly.const(1)]
-    for n in range(1, order + 1):
-        out.append(out[-1] * step / n)
-        step = step - c
-    return Series(out, order)
-
-
-@settings(deadline=None)
-@given(q_coeff_st, q_coeff_st, st.integers(0, 2 * N))
-@example(Fraction(0), Fraction(5, 3), N)
-@example(Fraction(2, 7), Fraction(0), N)
-@example(Fraction(0), Fraction(0), 3)
-@example(Fraction(-3, 4), Fraction(-5, 9), 2 * N)
-@example(Fraction(1, 3), Fraction(2), N)  # a/c = 6: a polynomial
-@example(Fraction(5, 6), Fraction(-1, 10), 0)
-def test_binomial_over_q_matches_the_product_steps(c, a, order):
-    # the integer lane multiplies no SPoly
-    def refuse(name):
-        def method(self, other):
-            raise AssertionError(f"the binomial lane called SPoly.{name}")
-        return method
-
-    want = _binomial_by_steps(c, a, order)
-    with pytest.MonkeyPatch.context() as mp:
-        for name in ("__mul__", "__rmul__", "__truediv__"):
-            mp.setattr(SPoly, name, refuse(name))
-        got = Series.binomial(c, a, order)
-    assert got == want
-
-
-@pytest.mark.parametrize("c,a,order", [
-    (SPoly.s(), SPoly((1, 0, -2)), N),
-    (SPoly((0, Fraction(1, 2), 3)), Fraction(-7, 3), 2 * N),
-    (Fraction(0), SPoly((Fraction(1, 4), -1)), N),
-    (SPoly((1, 1)), SPoly((1, 1)), 0),
-    (Fraction(-2, 3), SPoly((1, 1)), N),
-    (Fraction(0), SPoly.s(), N),
-    (SPoly.s(), 1, 3),
-])
-def test_binomial_refuses_a_symbolic_c_or_a(c, a, order):
-    with pytest.raises(ValueError, match="^binomial series needs rational "
-                                         "c and a"):
-        Series.binomial(c, a, order)
-
-
-@given(series_st)
-@settings(max_examples=20)
-def test_integral_inverts_deriv(f):
-    g = f.integral()
-    assert g.order == f.order + 1 and g[0] == 0
-    assert g.deriv() == f
 
 
 def test_json_round_trip():

@@ -66,6 +66,15 @@ def test_params_coercion():
     assert TwoPointParams(0, 1, 0, 1).s == S  # symbolic by default
 
 
+def test_params_read_rationals_and_refuse_floats():
+    p = TwoPointParams(SPoly.const(Fraction(3, 2)), 1, Fraction(-1, 4), 2)
+    assert (p.A, p.B, p.r, p.rp) == (Fraction(3, 2), 1, Fraction(-1, 4), 2)
+    assert all(type(x) is Fraction for x in (p.A, p.B, p.r, p.rp))
+    for args in ((0.5, 1, 0, 0), (0, 1, 0, 2.0)):
+        with pytest.raises(TypeError):
+            TwoPointParams(*args)
+
+
 def test_pair_shape_all_branches():
     for A, B in ((2, 1), (0, 1), (2, 0), (0, 0)):
         p = TwoPointParams(A, B, -1, 2, S)
