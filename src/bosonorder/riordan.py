@@ -225,14 +225,24 @@ def sheffer_row(p: RiordanPair, n: int) -> list:
 
         [z^n] gbar fbar^k = [w^(n-k)] f'(w) phi(w)^(n+1) / g(w),
 
-    so entry k is n!/k! times that: one power of phi and two products at
-    order n, no reversion, no composition and no other row.
+    so entry k is n!/k! times that.  For n >= 1, f' phi^(n+1) =
+    -(w^(n+1)/n) (f^(-n))' has coefficient m ((n-m)/n) c_m, c = (f/w)^(-n),
+    and J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2, sec. 4.7) gives c
+    in one O(n^2) pass: one division by g finishes the row, with no
+    reversion, no composition, no powering and no other row.
     """
     if p.order < n + 1:
         raise ValueError(f"truncation order {p.order} insufficient for row {n}")
-    f = p.second
-    phi = Series(f.coeffs[1:], n).reciprocal()
-    q = f.deriv().truncate(n) * phi ** (n + 1) / p.first.truncate(n)
+    if n == 0:
+        return [SPoly.const(1)]
+    F = p.second.coeffs[1:n + 1]  # f/w
+    jF = [j * x for j, x in enumerate(F)]
+    # c/n, by k c_k = sum_(j=1..k) ((1-n) j - k) F_j c_(k-j), linear in c
+    c = [F[0] / n]
+    for k in range(1, n + 1):
+        c.append(((1 - n) * dot(jF[1:k + 1], c[::-1])
+                  - k * dot(F[1:k + 1], c[::-1])) / k)
+    q = Series([(n - m) * x for m, x in enumerate(c)], n) / p.first.truncate(n)
     nf = factorial(n)
     return list(_tp_trim(q.coeffs[n - k] * (nf // factorial(k))
                          for k in range(n + 1)))

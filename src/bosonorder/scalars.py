@@ -10,15 +10,17 @@ the operator-ordering convention:
 
 Keeping s symbolic by default means one computation covers the whole family;
 a numeric choice of s gives the symbolic result evaluated at s.  The
-closed-route kernels -- reversion in ``series``, the array column loop in
-``riordan`` and the Sheffer pair ``two_point.two_point_pair`` -- each run
-one loop on numerators over one known denominator (:func:`_over_lcm`,
-:func:`_sum_products`): integers when every coefficient is a constant (at
-numeric s), polynomials in Z[s] otherwise.  :func:`convolve` and the
-reciprocal in ``series`` keep an integer lane beside their Q[s] one, which
-is faster over Q[s].  The data picks the ring, never an option.  The
-Hsu-Shiue and two-point kernels read a family's rational parameters as
-integers over their lcm, :func:`_rationals_over_lcm`.
+closed-route kernels -- reversion in ``series`` and the array column loop
+in ``riordan`` -- each run one loop on numerators over one known
+denominator (:func:`_over_lcm`, :func:`_sum_products`): integers when
+every coefficient is a constant (at numeric s), polynomials in Z[s]
+otherwise.  The Sheffer pair ``two_point.two_point_pair`` picks its ring
+for s the same way and runs a three-term recurrence in it, with no sum of
+products.  :func:`convolve` and the reciprocal in ``series`` keep an
+integer lane beside their Q[s] one, which is faster over Q[s].  The data
+picks the ring, never an option.  The Hsu-Shiue and two-point kernels read
+a family's rational parameters as integers over their lcm,
+:func:`_rationals_over_lcm`.
 
 Rationals are ``fractions.Fraction`` throughout (exact, lowest terms,
 positive denominator).  Serialized rationals are strings "p/q" or "p".

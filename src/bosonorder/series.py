@@ -147,14 +147,14 @@ class Series:
     def __pow__(self, n: int) -> "Series":
         if n < 0:
             raise ValueError("negative integer power; use reciprocal")
-        out = Series.one(self.order)
-        base = self
+        out, base = None, self  # out starts at the lowest set bit's power
         while n:
             if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return Series.one(self.order) if out is None else out
 
     def reciprocal(self) -> "Series":
         """1/f for f with invertible (nonzero rational) constant term.

@@ -31,11 +31,12 @@ every (A, B), the limits A = 0 and B = 0 included.
 The pair is built by one loop for every s.  With s = u/q (u and q
 integers in lowest terms at a constant s; u = s and q = 1 at symbolic s),
 2q w+ = q + u and 2q w- = q - u are numerators, integers or in Z[s]; with
-A, B, r, r' over their lcm L, coefficient n of each binomial factor is a
-generalized factorial of them over (2qL)^n n!, each half of g is a
-convolution of two of them, and every coefficient of g and f is one
-numerator over a known denominator, reduced once (the common-denominator
-method of Knuth, TAOCP Vol. 2, sec. 4.5.1).
+A, B, r, r' over their lcm L, each half of g, a product of two binomial
+series, is D-finite (Stanley, Europ. J. Combin. 1, 1980): its numerators
+over (2qL)^n n! obey a three-term recurrence, so no convolution is needed,
+and every coefficient of g and f is one numerator over a known
+denominator, reduced once (the common-denominator method of Knuth, TAOCP
+Vol. 2, sec. 4.5.1).
 
 For a word (A, B, r, r') = (e, 1, -L, R) everything is integral in w-:
 n! [z^n] of g, f, gbar and fbar lie in Z[w-], of degree at most n, n - 1,
@@ -66,11 +67,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
-from operator import mul
 
-from .scalars import (SPoly, _over_lcm, _rationals_over_lcm, _sum_products,
-                      as_s, as_spoly, falling_row)
+from .scalars import (SPoly, _over_lcm, _rationals_over_lcm, as_s, as_spoly,
+                      falling_row)
 from .series import Series
 from .riordan import BivariateEGF, RiordanPair, group_inverse, pair_to_egf
 
@@ -102,17 +101,21 @@ def two_point_pair(p: TwoPointParams, N: int) -> RiordanPair:
 
     Every coefficient is one numerator over a known denominator.  With
     s = u/q (u an integer at a constant s, u = s and q = 1 at symbolic s)
-    and A, B, r, r' over their lcm L, each of the four binomial factors has
-    coefficient n a generalized factorial over (2qL)^n n!; scaled by N!/n!,
-    each half of g is a plain convolution of the factors' numerators, and
+    and A, B, r, r' over their lcm L (a = A L, b = B L, rho = r L), each
+    half of g is D-finite (Stanley, Europ. J. Combin. 1, 1980):
+    H = (P/M)^(-r/B) solves P M H' = -r H, so its numerators
+    E_n = n! (2qL)^n [z^n] H obey the three-term recurrence
 
-        g_n = ((q+u) H_r[n] + (q-u) H_r'[n]) / (2q (N!)^2 (2qL)^n)
+        E_(n+1) = 2 (u b n - q rho) E_n + n (n-1) (q^2 - u^2) b^2 E_(n-1)
+
+    from E_0 = 1, E_(-1) = 0, with no convolution; E' is the same with
+    rho' = r' L.  Then
+
+        g_n = ((q+u) E_n + (q-u) E'_n) / (2q n! (2qL)^n)
         f_n = ((q+u)^n - (u-q)^n) L (a + b) ... (a + (n-1) b) / ((2qL)^n n!)
 
-    with A = a/L, B = b/L, and H_r[n] = sum_i X_i Y_(n-i) over the scaled
-    numerators X and Y of the two factors.  Each coefficient is reduced
-    once.  The numerators are integers at a constant s and lie in Z[s]
-    otherwise.
+    each reduced once.  The numerators are integers at a constant s and lie
+    in Z[s] otherwise.
 
     >>> print(two_point_pair(TwoPointParams(1, 1, -1, 1, 0), 4).second)
     z + 1/4*z^3 + O(z^5)
@@ -120,27 +123,23 @@ def two_point_pair(p: TwoPointParams, N: int) -> RiordanPair:
     [([u], q)] = _over_lcm((p.s,))
     up, down = q + u, q - u  # 2q w+ and 2q w-
     (a, b, rho, rhop), L = _rationals_over_lcm(p.A, p.B, p.r, p.rp)
-    scale = [factorial(N) // factorial(n) for n in range(N + 1)]
-
-    def factors(rho):  # (2qL)^n N! [z^n] of the two factors of (P/M)^(-r/B)
-        return ([*map(mul, falling_row(-down * rho, N, down * b), scale)],
-                [*map(mul, falling_row(-up * rho, N, -up * b), scale)])
-
-    (x, y), (xp, yp) = factors(rho), factors(rhop)
+    slope, curve = 2 * u * b, (q * q - u * u) * b * b
+    alpha, alphap = -2 * q * rho, -2 * q * rhop  # 2 (u b n - q rho) at n = 0
+    e, e_prev, ep, ep_prev = 1, 0, 1, 0  # E_n, E_(n-1), E'_n, E'_(n-1)
     # entry n >= 1 is (a + b) ... (a + (n-1) b); f_0 = 0
     fall = [0, *falling_row(a + b, N - 1, -b)]
     g, f = [], []
-    g_den = 2 * q * scale[0] ** 2  # 2q (N!)^2 (2qL)^n
-    f_den = 1  # (2qL)^n n!
+    den = 1  # (2qL)^n n!
     pos, neg = 1, 1  # (q+u)^n and (u-q)^n
     for n in range(N + 1):
-        h = _sum_products(x[:n + 1], y[n::-1])
-        hp = _sum_products(xp[:n + 1], yp[n::-1])
-        g.append(SPoly.ratio(up * h + down * hp, g_den))
-        f.append(SPoly.ratio((pos - neg) * (L * fall[n]), f_den))
+        g.append(SPoly.ratio(up * e + down * ep, 2 * q * den))
+        f.append(SPoly.ratio((pos - neg) * (L * fall[n]), den))
+        tail = curve * (n * (n - 1))
+        e, e_prev = alpha * e + tail * e_prev, e
+        ep, ep_prev = alphap * ep + tail * ep_prev, ep
+        alpha, alphap = alpha + slope, alphap + slope
         pos, neg = pos * up, -neg * down
-        g_den *= 2 * q * L
-        f_den *= 2 * q * L * (n + 1)
+        den *= 2 * q * L * (n + 1)
     return RiordanPair(Series(g, N), Series(f, N))
 
 

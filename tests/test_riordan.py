@@ -211,7 +211,8 @@ def test_ladder_exact_truncation_orders(case):
 sheffer_case_st = st.one_of(
     st.sampled_from(sorted(CATALOG)),
     st.tuples(coeff_st, coeff_st, coeff_st, coeff_st,
-              st.one_of(st.just(SPoly.s()), coeff_st)))
+              st.one_of(st.just(SPoly.s()), st.sampled_from([-1, 1]),
+                        coeff_st)))
 
 
 @given(sheffer_case_st, st.integers(0, 9))
@@ -227,6 +228,48 @@ def test_sheffer_row_matches_group_inversion(case, n):
             else two_point_pair(TwoPointParams(*case), n + 1))
     want = pair_to_egf(group_inverse(pair), n).row_poly(n)
     assert sheffer_row(pair, n) == want
+
+
+def _sheffer_row_by_powering(p: RiordanPair, n: int) -> list:
+    """Row n by the Lagrange-Bürmann formula read literally: with
+    phi = 1/(f/z), entry k is n!/k! [z^(n-k)] f' phi^(n+1) / g, by one
+    reciprocal, binary powering and two products."""
+    f = p.second
+    phi = Series(f.coeffs[1:], n).reciprocal()
+    q = f.deriv().truncate(n) * phi ** (n + 1) / p.first.truncate(n)
+    row = [q.coeffs[n - k] * (factorial(n) // factorial(k))
+           for k in range(n + 1)]
+    while row and row[-1].is_zero():
+        row.pop()
+    return row
+
+
+@given(sheffer_case_st, st.integers(0, 10))
+@example("abel", 0)
+@example("touchard", 1)
+@example((2, 1, -2, 1, SPoly.s()), 0)
+@example((2, 1, -2, 1, SPoly.s()), 1)
+@example((2, 1, -2, 1, 1), 1)
+@example((Fraction(3, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(-1, 6),
+          Fraction(2, 7)), 10)
+@example((0, 0, 1, 2, -1), 10)
+@settings(max_examples=60, deadline=None)
+def test_sheffer_row_matches_powering(case, n):
+    pair = (catalog(case, n + 1) if isinstance(case, str)
+            else two_point_pair(TwoPointParams(*case), n + 1))
+    assert sheffer_row(pair, n) == _sheffer_row_by_powering(pair, n)
+
+
+def test_sheffer_row_takes_no_power(monkeypatch):
+    cases = [catalog("laguerre", 9),
+             two_point_pair(TwoPointParams(2, 1, -2, 1, SPoly.s()), 9)]
+    want = [_sheffer_row_by_powering(pair, 8) for pair in cases]
+
+    def no_pow(self, n):
+        raise AssertionError("sheffer_row called Series.__pow__")
+
+    monkeypatch.setattr(Series, "__pow__", no_pow)
+    assert [sheffer_row(pair, 8) for pair in cases] == want
 
 
 def test_sheffer_row_guards():

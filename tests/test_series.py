@@ -96,6 +96,33 @@ def test_series_ring_axioms(f, g, h):
     assert (f * g) * h == f * (g * h)
 
 
+@given(series_st, st.integers(0, 9))
+@example(Series([0, 1], N), 3)
+def test_integer_power_is_the_product_chain(f, n):
+    want = Series.one(N)
+    for _ in range(n):
+        want = want * f
+    assert f ** n == want
+
+
+def test_integer_power_multiplies_no_one(monkeypatch):
+    calls = []
+    convolve = series.convolve
+
+    def counted(xs, ys, n):
+        calls.append(n)
+        return convolve(xs, ys, n)
+
+    monkeypatch.setattr(series, "convolve", counted)
+    z = Series.variable(N)
+    # binary powering from the lowest set bit: x ** 2 is one product
+    for n, products in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (6, 3),
+                        (8, 3), (9, 4)):
+        calls.clear()
+        assert z ** n == Series([0] * n + [1], N)
+        assert len(calls) == products
+
+
 @given(series_st)
 def test_reciprocal_inverts(f):
     if f[0].is_zero() or not f[0].is_rational():

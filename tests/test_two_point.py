@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bosonorder import two_point
+from bosonorder import scalars, two_point
 from bosonorder.hsu_shiue import HSParams, hs_pair
 from bosonorder.ordering import SingleAnnihilatorWord
 from bosonorder.riordan import (BivariateEGF, RiordanPair, _apply_dseries,
@@ -158,11 +158,32 @@ def test_hs_pair_matches_exp_log_oracle(a, b, r, N):
 @example(0, 0, 1, 2, S, 6)
 @example(0, 1, -2, 1, S, 8)
 @example(2, 0, 1, -3, Fraction(1, 3), 8)
-@example(2, 1, -2, 1, 1, 6)
+@example(2, 0, 1, -3, S, 8)  # B = 0: each half of g is an exponential
+@example(2, 1, -2, 1, 1, 6)  # s = +1: the second half has weight 0
+@example(2, 1, -2, 1, -1, 6)  # s = -1: the first half has weight 0
+@example(2, 1, 0, 0, S, 8)  # r = r' = 0: g = 1
+@example(Fraction(1, 2), Fraction(3, 4), Fraction(2, 3), Fraction(-5, 2),
+         S, 8)  # r/B and r'/B not integers: no factor terminates
+@example(Fraction(1, 2), Fraction(3, 4), Fraction(2, 3), Fraction(-5, 2),
+         1, 10)
 @settings(max_examples=40, deadline=None)
 def test_two_point_pair_matches_exp_log_oracle(a, b, r, rp, s, N):
     p = TwoPointParams(a, b, r, rp, s)
     assert two_point_pair(p, N) == _two_point_pair_exp_log(p, N)
+
+
+def test_symbolic_pair_runs_no_dot(monkeypatch):
+    # the three-term recurrence multiplies Z[s] polynomials pairwise and
+    # sums no products
+    p = TwoPointParams(Fraction(3, 2), Fraction(-2, 3), Fraction(5, 4),
+                       Fraction(-1, 6), S)
+    want = _two_point_pair_exp_log(p, 12)
+
+    def no_dot(xs, ys):
+        raise AssertionError("two_point_pair called scalars.dot")
+
+    monkeypatch.setattr(scalars, "dot", no_dot)
+    assert two_point_pair(p, 12) == want
 
 
 @given(zero_or_param_st, zero_or_param_st, param_st, param_st,
