@@ -126,6 +126,8 @@ def hs_triangle_rec(p: HSParams, N: int) -> Triangle:
     so each cell costs two integer products and two sums, and is divided
     by L^(n-k) once, at the end.
     """
+    if N < 0:
+        raise ValueError("truncation order must be >= 0")
     (a, b, r), L = _rationals_over_lcm(p.A, p.B, p.r)
     rows = [[1]]
     for n in range(N):

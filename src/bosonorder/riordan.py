@@ -101,6 +101,8 @@ class Triangle:
     rows: list
 
     def __post_init__(self):
+        if self.N < 0:
+            raise ValueError("truncation order must be >= 0")
         if len(self.rows) != self.N + 1:
             raise ValueError("row count must be N+1")
         self.rows = [[c if type(c) is SPoly else as_spoly(c) for c in row]
@@ -142,6 +144,8 @@ class BivariateEGF:
     __slots__ = ("zcoeffs", "order")
 
     def __init__(self, zcoeffs, order: int):
+        if order < 0:
+            raise ValueError("truncation order must be >= 0")
         rows = []
         for n in range(order + 1):
             src = zcoeffs[n] if n < len(zcoeffs) else ()
@@ -231,6 +235,8 @@ def sheffer_row(p: RiordanPair, n: int) -> list:
     in one O(n^2) pass: one division by g finishes the row, with no
     reversion, no composition, no powering and no other row.
     """
+    if n < 0:
+        raise ValueError("row index must be >= 0")
     if p.order < n + 1:
         raise ValueError(f"truncation order {p.order} insufficient for row {n}")
     if n == 0:

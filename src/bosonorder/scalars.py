@@ -149,8 +149,9 @@ class SPoly:
     polynomials therefore store equal data.  ``+``, ``-``, ``*``,
     negation, :meth:`deriv` and division by a rational run on these ints
     (see the module docstring) and build no ``Fraction`` per coefficient.
-    The constructor coerces anything that is not exactly a ``Fraction``
-    with ``Fraction(c)``.
+    The constructor, :meth:`const`, ``/`` and :meth:`eval` take ints and
+    Fractions only (``/`` also a constant SPoly) and raise TypeError on
+    anything else, so no float's binary expansion becomes a coefficient.
 
     ``coeffs`` is derived on each read: a tuple of lowest-terms ``Fraction``
     values (exact type) with a nonzero last entry.  ``str``,
@@ -165,7 +166,7 @@ class SPoly:
     __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=()):
-        fs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        fs = [c if type(c) is Fraction else _rational(c) for c in coeffs]
         den = 1
         for f in fs:
             if f.denominator != 1:
@@ -189,7 +190,7 @@ class SPoly:
 
     @staticmethod
     def const(q) -> "SPoly":
-        return SPoly((Fraction(q),))
+        return SPoly((q,))
 
     @staticmethod
     def ratio(n, d: int) -> "SPoly":
@@ -327,10 +328,11 @@ class SPoly:
         """Division by a nonzero rational (or degree-0 SPoly) scalar."""
         if isinstance(other, SPoly):
             other = other.as_rational()
-        other = Fraction(other)
-        if other == 0:
-            raise ZeroDivisionError("division of SPoly by zero")
+        elif not isinstance(other, (int, Fraction)):
+            return NotImplemented
         n, d = other.numerator, other.denominator
+        if not n:
+            raise ZeroDivisionError("division of SPoly by zero")
         if n < 0:
             n, d = -n, -d
         den = self._den * n
@@ -353,7 +355,7 @@ class SPoly:
 
     def eval(self, value) -> Fraction:
         """Evaluate at a rational value of s (Horner)."""
-        value = Fraction(value)
+        value = _rational(value)
         out = Fraction(0)
         for c in reversed(self.coeffs):
             out = out * value + c
@@ -399,6 +401,13 @@ class SPoly:
     @staticmethod
     def from_json(data) -> "SPoly":
         return SPoly(parse_rational(c) for c in data)
+
+
+def _rational(x):
+    """x itself if it is an int or a Fraction, else TypeError."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    raise TypeError(f"{x!r} is not an int or a Fraction")
 
 
 _new = object.__new__

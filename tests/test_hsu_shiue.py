@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from bosonorder import hsu_shiue
 from bosonorder.hsu_shiue import (HSParams, hs_coeff_sum, hs_egf, hs_pair,
                                   hs_pde_residual, hs_triangle_rec)
-from bosonorder.riordan import Triangle, group_inverse
+from bosonorder.riordan import BivariateEGF, Triangle, group_inverse
 from bosonorder.scalars import SPoly, as_spoly, falling_row
 from bosonorder.series import Series
 
@@ -220,6 +220,25 @@ def test_pde_residual_detects_a_wrong_egf(monkeypatch, field, weight):
     for n in range(6):
         for k in range(n + 2):
             assert res.coeff(n, k) == weight(n, k) * c.coeff(n, k)
+
+
+@pytest.mark.parametrize("N, delta", [(1, -1), (6, 1), (6, -1)])
+def test_pde_residual_reads_every_coefficient(monkeypatch, N, delta):
+    # c_{n,k} enters equation (n - 1, k) with weight -n for n >= 1, and
+    # c_{0,0} equation (0, 1) with weight 1, so a change of any one
+    # coefficient through z^N shows.  At N = 1, lowering c_{1,1} = 1 to 0
+    # trims row 1, and only equation (0, 1) sees it.
+    p = HSParams(Fraction(1, 2), 2, -1)
+    good = hs_egf(p, N)
+    for n in range(N + 1):
+        for k in range(n + 1):
+            rows = [list(good.zcoeffs[m])
+                    + [SPoly()] * (m + 1 - len(good.zcoeffs[m]))
+                    for m in range(N + 1)]
+            rows[n][k] += delta
+            bad = BivariateEGF(rows, N)
+            monkeypatch.setattr(hsu_shiue, "hs_egf", lambda _, order: bad)
+            assert not hs_pde_residual(p, N).is_zero(), (n, k)
 
 
 def test_params_coercion_and_duality_values():

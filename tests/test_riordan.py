@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bosonorder import cli, scalars
-from bosonorder.hsu_shiue import HSParams, hs_egf, hs_pair
+from bosonorder.hsu_shiue import HSParams, hs_egf, hs_pair, hs_triangle_rec
 from bosonorder.riordan import (CATALOG, BivariateEGF, RiordanPair, Triangle,
                                 array_coeffs, catalog, group_inverse,
                                 group_product, identity_pair,
@@ -276,6 +276,8 @@ def test_sheffer_row_guards():
     pair = catalog("abel", 4)
     with pytest.raises(ValueError):
         sheffer_row(pair, 4)
+    with pytest.raises(ValueError, match="row index must be >= 0"):
+        sheffer_row(pair, -1)
     assert sheffer_row(pair, 3) == [0, 9, -6, 1]  # A_3 = t (t - 3)^2
 
 
@@ -494,6 +496,16 @@ def test_egf_triangle_needs_polynomial_rows():
                         (SPoly(), SPoly(), SPoly.const(1))], 1)
     with pytest.raises(ValueError):
         bad.to_triangle()
+
+
+def test_negative_orders_are_refused():
+    # Series's message; the CLI refuses --N -1 before any of these runs
+    pair = identity_pair(3)
+    for make in (lambda: pair_to_egf(pair, -1), lambda: array_coeffs(pair, -2),
+                 lambda: hs_triangle_rec(HSParams(1, 1, 2), -1),
+                 lambda: BivariateEGF([], -1), lambda: Triangle(-1, [])):
+        with pytest.raises(ValueError, match="truncation order must be >= 0"):
+            make()
 
 
 def test_egf_coeff_is_zero_outside_the_row():

@@ -85,6 +85,7 @@ def test_spoly_eval_deriv():
     p = 1 - S + 3 * S**2
     assert p.eval(2) == 11
     assert p.eval(Fraction(1, 2)) == Fraction(5, 4)
+    assert p / SPoly.const(2) == p / 2 == p * Fraction(1, 2)
     assert p.deriv() == 6 * S - 1
     assert SPoly.const(4).deriv().is_zero()
 
@@ -112,6 +113,20 @@ def test_spoly_coercion_and_invariants():
     assert SPoly.const(3) == 3
     assert ((1 + S) - S).degree == 0
     assert (S - S).is_zero()
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, "1/2", None])
+@pytest.mark.parametrize("call", [
+    SPoly.const,
+    lambda x: SPoly((Fraction(1, 2), x)),
+    lambda x: (1 + S) / x,
+    lambda x: (1 + S).eval(x),
+], ids=["const", "init", "truediv", "eval"])
+def test_only_ints_and_fractions_become_coefficients(call, bad):
+    # Fraction(0.1) is 3602879701896397/36028797018963968; as_spoly, as_s,
+    # Series and the family parameters refuse a float the same way
+    with pytest.raises(TypeError):
+        call(bad)
 
 
 @given(spoly_st, spoly_st, spoly_st)
