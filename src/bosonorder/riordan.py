@@ -232,8 +232,10 @@ def sheffer_row(p: RiordanPair, n: int) -> list:
     so entry k is n!/k! times that.  For n >= 1, f' phi^(n+1) =
     -(w^(n+1)/n) (f^(-n))' has coefficient m ((n-m)/n) c_m, c = (f/w)^(-n),
     and J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2, sec. 4.7) gives c
-    in one O(n^2) pass: one division by g finishes the row, with no
-    reversion, no composition, no powering and no other row.
+    in one O(n^2) pass.  The division by g (g_0 = 1) is one triangular
+    solve, q_m = num_m - sum_(i=1..m) g_i q_(m-i), one ``dot`` per
+    coefficient, with no reciprocal, no series product, no reversion, no
+    composition, no powering and no other row.
     """
     if n < 0:
         raise ValueError("row index must be >= 0")
@@ -248,9 +250,12 @@ def sheffer_row(p: RiordanPair, n: int) -> list:
     for k in range(1, n + 1):
         c.append(((1 - n) * dot(jF[1:k + 1], c[::-1])
                   - k * dot(F[1:k + 1], c[::-1])) / k)
-    q = Series([(n - m) * x for m, x in enumerate(c)], n) / p.first.truncate(n)
+    G = p.first.coeffs[1:n + 1]
+    q = []
+    for m, x in enumerate(c):
+        q.append((n - m) * x - dot(G[:m], q[::-1]))
     nf = factorial(n)
-    return list(_tp_trim(q.coeffs[n - k] * (nf // factorial(k))
+    return list(_tp_trim(q[n - k] * (nf // factorial(k))
                          for k in range(n + 1)))
 
 

@@ -15,11 +15,14 @@ in ``riordan`` -- each run one loop on numerators over one known
 denominator (:func:`_over_lcm`, :func:`_sum_products`): integers when
 every coefficient is a constant (at numeric s), polynomials in Z[s]
 otherwise.  The Sheffer pair ``two_point.two_point_pair`` picks its ring
-for s the same way and runs a three-term recurrence in it, with no sum of
-products.  :func:`convolve` and the reciprocal in ``series`` keep an
-integer lane beside their Q[s] one, which is faster over Q[s].  The data
-picks the ring, never an option.  The Hsu-Shiue and two-point kernels read
-a family's rational parameters as integers over their lcm,
+from s the same way, integers or plain integer coefficient lists, with
+the three operations its loop needs in that ring -- a three-term
+recurrence step, the mix of the two halves of g and the f factor -- and
+builds no SPoly until each coefficient is reduced once by
+:func:`_canonical`.  :func:`convolve` and the reciprocal in ``series``
+keep an integer lane beside their Q[s] one, which is faster over Q[s].
+The data picks the ring, never an option.  The Hsu-Shiue and two-point
+kernels read a family's rational parameters as integers over their lcm,
 :func:`_rationals_over_lcm`.
 
 Rationals are ``fractions.Fraction`` throughout (exact, lowest terms,
@@ -77,8 +80,9 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q) -> str:
-    """Render a Fraction as "p/q", or "p" when the denominator is 1."""
-    q = Fraction(q)
+    """Render an int or a Fraction as "p/q", or "p" when the denominator is
+    1; anything else, a float included, raises TypeError."""
+    q = _rational(q)
     return _ratio_text(q.numerator, q.denominator)
 
 
@@ -426,7 +430,9 @@ def _gcd_into(g: int, num: list) -> int:
 
 def _mac(acc: list, a: list, b: list) -> None:
     """acc += a*b on integer lists by schoolbook convolution, a scalar
-    multiply when one side has one entry; acc must be long enough."""
+    multiply when one side has one entry; acc must be long enough.  The
+    outer loop runs over the shorter side, so the longer one is the inner
+    loop and a zero entry of the shorter one skips a whole pass."""
     if len(a) < len(b):
         a, b = b, a
     if len(b) == 1:
@@ -434,10 +440,10 @@ def _mac(acc: list, a: list, b: list) -> None:
         for i, x in enumerate(a):
             acc[i] += x * c
     else:
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    acc[j] += x * y
+        for j, y in enumerate(b):
+            if y:
+                for i, x in enumerate(a, j):
+                    acc[i] += x * y
 
 
 def dot(xs, ys) -> SPoly:

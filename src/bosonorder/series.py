@@ -36,8 +36,8 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .scalars import (SPoly, _over_lcm, _sum_products, as_spoly, convolve, dot,
-                      format_power, format_terms)
+from .scalars import (SPoly, _over_lcm, _rational, _sum_products, as_spoly,
+                      convolve, dot, format_power, format_terms)
 
 
 class Series:
@@ -318,8 +318,9 @@ class Series:
         return Series(out, self.order)
 
     def pow_rational(self, q) -> "Series":
-        """f^q = exp(q log f) for rational q; requires constant term 1."""
-        q = Fraction(q)
+        """f^q = exp(q log f) for an int or Fraction q (anything else, a
+        float included, raises TypeError); requires constant term 1."""
+        q = _rational(q)
         if self.coeffs[0] != 1:
             raise ValueError("pow_rational requires constant term 1")
         return (self.log() * q).exp()

@@ -36,7 +36,10 @@ series, is D-finite (Stanley, Europ. J. Combin. 1, 1980): its numerators
 over (2qL)^n n! obey a three-term recurrence, so no convolution is needed,
 and every coefficient of g and f is one numerator over a known
 denominator, reduced once (the common-denominator method of Knuth, TAOCP
-Vol. 2, sec. 4.5.1).
+Vol. 2, sec. 4.5.1).  The loop runs on plain numerators -- integers at a
+constant s, integer coefficient lists otherwise -- through three ring
+operations picked before it: the recurrence step, the mix of the two
+halves of g and the f factor (q+u)^n - (u-q)^n.
 
 For a word (A, B, r, r') = (e, 1, -L, R) everything is integral in w-:
 n! [z^n] of g, f, gbar and fbar lie in Z[w-], of degree at most n, n - 1,
@@ -67,9 +70,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
-from .scalars import (SPoly, _over_lcm, _rationals_over_lcm, as_s, as_spoly,
-                      falling_row)
+from .scalars import (SPoly, _canonical, _mac, _over_lcm, _rationals_over_lcm,
+                      as_s, as_spoly, falling_row)
 from .series import Series
 from .riordan import BivariateEGF, RiordanPair, group_inverse, pair_to_egf
 
@@ -114,33 +118,96 @@ def two_point_pair(p: TwoPointParams, N: int) -> RiordanPair:
         g_n = ((q+u) E_n + (q-u) E'_n) / (2q n! (2qL)^n)
         f_n = ((q+u)^n - (u-q)^n) L (a + b) ... (a + (n-1) b) / ((2qL)^n n!)
 
-    each reduced once.  The numerators are integers at a constant s and lie
-    in Z[s] otherwise.
+    each reduced once.  The ring of the numerators and its three operations
+    -- the recurrence step, the mix of E and E' and the f factor -- are
+    picked from s before the loop: integers at a constant s, and otherwise
+    the integer coefficient lists of polynomials in u, where multiplying by
+    u is a shift and the f factor is 2 sum_(n-j odd) C(n, j) q^(n-j) u^j
+    (at symbolic s, u is s itself).  No ``SPoly`` is built but the
+    coefficients themselves.
 
     >>> print(two_point_pair(TwoPointParams(1, 1, -1, 1, 0), 4).second)
     z + 1/4*z^3 + O(z^5)
     """
     [([u], q)] = _over_lcm((p.s,))
-    up, down = q + u, q - u  # 2q w+ and 2q w-
     (a, b, rho, rhop), L = _rationals_over_lcm(p.A, p.B, p.r, p.rp)
-    slope, curve = 2 * u * b, (q * q - u * u) * b * b
-    alpha, alphap = -2 * q * rho, -2 * q * rhop  # 2 (u b n - q rho) at n = 0
-    e, e_prev, ep, ep_prev = 1, 0, 1, 0  # E_n, E_(n-1), E'_n, E'_(n-1)
+    one, zero, step, mix, odd = (_integer_ring(u, q, N) if type(u) is int
+                                 else _polynomial_ring(u._num, q))
+    # E_n, E_(n-1), E'_n, E'_(n-1)
+    e, e_prev, ep, ep_prev = one, zero, one, zero
+    c0, c0p, c1 = -2 * q * rho, -2 * q * rhop, 0  # E's factor is c0 + c1 u
     # entry n >= 1 is (a + b) ... (a + (n-1) b); f_0 = 0
     fall = [0, *falling_row(a + b, N - 1, -b)]
     g, f = [], []
     den = 1  # (2qL)^n n!
-    pos, neg = 1, 1  # (q+u)^n and (u-q)^n
     for n in range(N + 1):
-        g.append(SPoly.ratio(up * e + down * ep, 2 * q * den))
-        f.append(SPoly.ratio((pos - neg) * (L * fall[n]), den))
-        tail = curve * (n * (n - 1))
-        e, e_prev = alpha * e + tail * e_prev, e
-        ep, ep_prev = alphap * ep + tail * ep_prev, ep
-        alpha, alphap = alpha + slope, alphap + slope
-        pos, neg = pos * up, -neg * down
+        g.append(_canonical(mix(e, ep), 2 * q * den, 2 * q * den))
+        f.append(_canonical(odd(n, L * fall[n]), den, den))
+        t = n * (n - 1) * b * b
+        e, e_prev = step(e, e_prev, c0, c1, t), e
+        ep, ep_prev = step(ep, ep_prev, c0p, c1, t), ep
+        c1 += 2 * b
         den *= 2 * q * L * (n + 1)
     return RiordanPair(Series(g, N), Series(f, N))
+
+
+def _integer_ring(u: int, q: int, N: int) -> tuple:
+    """E_0, E_(-1) and the three operations of ``two_point_pair`` at a
+    constant s = u/q, on integers: the step (c0 + c1 u) x + t (q^2 - u^2) y,
+    the mix (q+u) x + (q-u) y and k ((q+u)^n - (u-q)^n) for n <= N, the
+    last two as one-entry numerator lists."""
+    up, down, curve = q + u, q - u, q * q - u * u
+    factors, pos, neg = [], 1, 1  # (q+u)^n - (u-q)^n by running powers
+    for _ in range(N + 1):
+        factors.append(pos - neg)
+        pos, neg = pos * up, -neg * down
+
+    def step(x, y, c0, c1, t):
+        return (c0 + c1 * u) * x + t * curve * y
+
+    def mix(x, y):
+        return [up * x + down * y]
+
+    def odd(n, k):
+        return [factors[n] * k]
+
+    return 1, 0, step, mix, odd
+
+
+def _polynomial_ring(u: list, q: int) -> tuple:
+    """The same where s = u/q has u in Z[s] of degree >= 1 (u = s and q = 1
+    at symbolic s), on the integer coefficient lists of polynomials in u,
+    kept untrimmed so that E_n has length n + 1.  Multiplying by u is a
+    shift, and k ((q+u)^n - (u-q)^n) = 2k sum_(n-j odd) C(n, j) q^(n-j) u^j.
+    The numerators that are reduced are read in s by putting u in for the
+    indeterminate, which changes nothing at symbolic s."""
+    qq = q * q
+
+    def step(x, y, c0, c1, t):
+        # (c0 + c1 u) x + t (q^2 - u^2) y
+        return [c0 * x0 + c1 * x1 + t * (qq * y0 - y2) for x0, x1, y0, y2
+                in zip(x + [0], [0] + x, y + [0, 0], [0, 0] + y)]
+
+    def mix(x, y):
+        # (q + u) x + (q - u) y
+        return read([q * (x0 + y0) + x1 - y1 for x0, x1, y0, y1
+                     in zip(x + [0], [0] + x, y + [0], [0] + y)])
+
+    def odd(n, k):
+        return read([2 * k * comb(n, j) * q ** (n - j) if (n - j) % 2 else 0
+                     for j in range(n)])
+
+    def read(c):
+        if u == [0, 1]:
+            return c
+        out = [0]  # c(u) by Horner's rule
+        for x in reversed(c):
+            out, prev = [0] * (len(out) + len(u) - 1), out
+            _mac(out, prev, u)
+            out[0] += x
+        return out
+
+    return [1], [], step, mix, odd
 
 
 def two_point_egf(p: TwoPointParams, N: int) -> BivariateEGF:

@@ -272,6 +272,23 @@ def test_sheffer_row_takes_no_power(monkeypatch):
     assert [sheffer_row(pair, 8) for pair in cases] == want
 
 
+def test_sheffer_row_divides_by_no_series(monkeypatch):
+    # the division by g is a triangular solve on the coefficients
+    cases = [catalog("laguerre", 9),
+             two_point_pair(TwoPointParams(2, 1, -2, 1, SPoly.s()), 9),
+             two_point_pair(TwoPointParams(2, 1, -2, 1, Fraction(1, 3)), 9)]
+    want = [_sheffer_row_by_powering(pair, 8) for pair in cases]
+
+    def refuse(*args):
+        raise AssertionError("sheffer_row divided by a series")
+
+    monkeypatch.setattr(Series, "reciprocal", refuse)
+    monkeypatch.setattr(Series, "__truediv__", refuse)
+    with pytest.raises(AssertionError):
+        Series.one(2) / Series.one(2)  # the patch is live
+    assert [sheffer_row(pair, 8) for pair in cases] == want
+
+
 def test_sheffer_row_guards():
     pair = catalog("abel", 4)
     with pytest.raises(ValueError):

@@ -15,6 +15,13 @@ fractions_st = st.fractions(min_value=-12, max_value=12, max_denominator=6)
 spoly_st = st.lists(fractions_st, max_size=5).map(SPoly)
 
 
+def test_format_rational_refuses_floats():
+    assert format_rational(Fraction(-6, 4)) == "-3/2"
+    assert format_rational(5) == "5"
+    with pytest.raises(TypeError):
+        format_rational(0.1)
+
+
 def test_parse_format_round_trip():
     for text in ("0", "7", "-3", "1/2", "-22/7"):
         assert format_rational(parse_rational(text)) == text

@@ -495,6 +495,13 @@ def test_rational_powers_add(a, b, u):
     assert lhs == f.pow_rational(a + b)
 
 
+def test_pow_rational_refuses_floats():
+    f = 1 + Series.variable(3)
+    assert f.pow_rational(2) == f * f
+    with pytest.raises(TypeError):
+        f.pow_rational(0.1)
+
+
 def test_pow_rational_needs_unit_constant():
     z = Series.variable(3)
     with pytest.raises(ValueError):

@@ -220,8 +220,69 @@ def test_numeric_pair_multiplies_no_spoly(monkeypatch):
                        Fraction(-1, 6), Fraction(2, 7))
     two_point_pair(p, 12)
     assert not calls
-    two_point_pair(TwoPointParams(p.A, p.B, p.r, p.rp, S), 12)
+    S * S  # the patch is live
     assert calls
+
+
+def _two_point_pair_by_spoly(p: TwoPointParams, N: int) -> RiordanPair:
+    """The same three-term recurrence with every numerator an int or an
+    SPoly in Z[s] and every step an SPoly operator: the oracle of the
+    integer-list lane."""
+    [([u], q)] = scalars._over_lcm((p.s,))
+    up, down = q + u, q - u
+    (a, b, rho, rhop), L = scalars._rationals_over_lcm(p.A, p.B, p.r, p.rp)
+    slope, curve = 2 * u * b, (q * q - u * u) * b * b
+    alpha, alphap = -2 * q * rho, -2 * q * rhop
+    e, e_prev, ep, ep_prev = 1, 0, 1, 0
+    fall = [0, *scalars.falling_row(a + b, N - 1, -b)]
+    g, f = [], []
+    den = 1
+    pos, neg = 1, 1
+    for n in range(N + 1):
+        g.append(SPoly.ratio(up * e + down * ep, 2 * q * den))
+        f.append(SPoly.ratio((pos - neg) * (L * fall[n]), den))
+        tail = curve * (n * (n - 1))
+        e, e_prev = alpha * e + tail * e_prev, e
+        ep, ep_prev = alphap * ep + tail * ep_prev, ep
+        alpha, alphap = alpha + slope, alphap + slope
+        pos, neg = pos * up, -neg * down
+        den *= 2 * q * L * (n + 1)
+    return RiordanPair(Series(g, N), Series(f, N))
+
+
+@given(zero_or_param_st, zero_or_param_st, zero_or_param_st,
+       zero_or_param_st, s_point_st, st.integers(0, 12))
+@example(0, Fraction(3, 2), -1, 2, S, 12)  # A = 0
+@example(Fraction(-1, 2), 0, 1, -3, S, 12)  # B = 0
+@example(0, 0, 1, 2, S, 10)  # A = B = 0
+@example(2, 1, 0, 0, S, 10)  # r = r' = 0
+@example(2, 1, -2, 1, -1, 10)
+@example(2, 1, -2, 1, 0, 10)
+@example(2, 1, -2, 1, 1, 10)
+@example(Fraction(3, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(-1, 6),
+         Fraction(2, 7), 12)
+@example(2, 1, -2, 1, 1 - 2 * S, 10)  # s a polynomial other than s
+@example(Fraction(1, 2), Fraction(3, 4), Fraction(2, 3), Fraction(-5, 2),
+         (1 + S * S) / 3, 8)
+@settings(max_examples=60, deadline=None)
+def test_pair_matches_the_spoly_recurrence(a, b, r, rp, s, N):
+    p = TwoPointParams(a, b, r, rp, s)
+    assert two_point_pair(p, N) == _two_point_pair_by_spoly(p, N)
+
+
+def test_symbolic_pair_calls_no_spoly_operator(monkeypatch):
+    p = TwoPointParams(Fraction(3, 2), Fraction(-2, 3), Fraction(5, 4),
+                       Fraction(-1, 6), S)
+    want = _two_point_pair_by_spoly(p, 12)
+
+    def refuse(self, other):
+        raise AssertionError("two_point_pair called an SPoly operator")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(SPoly, name, refuse)
+    with pytest.raises(AssertionError):
+        S * S  # the patch is live
+    assert two_point_pair(p, 12) == want
 
 
 word_st = st.integers(1, 5).flatmap(
