@@ -203,7 +203,8 @@ def pair_to_egf(p: RiordanPair, N: int) -> BivariateEGF:
     the weight 1/k! rides in the running denominator, each step is one
     convolution of numerators, and each entry is reduced once.  The
     numerators are integers when every coefficient of d and H is a constant
-    (every call at numeric s), and lie in Z[s] otherwise.
+    (every call at numeric s), and integer coefficient lists of polynomials
+    in Z[s] otherwise.
     """
     if N > p.order:
         raise ValueError(f"truncation order {p.order} insufficient for N={N}")

@@ -10,18 +10,18 @@ the operator-ordering convention:
 
 Keeping s symbolic by default means one computation covers the whole family;
 a numeric choice of s gives the symbolic result evaluated at s.  The
-closed-route kernels -- reversion in ``series`` and the array column loop
-in ``riordan`` -- each run one loop on numerators over one known
-denominator (:func:`_over_lcm`, :func:`_sum_products`): integers when
-every coefficient is a constant (at numeric s), polynomials in Z[s]
-otherwise.  The Sheffer pair ``two_point.two_point_pair`` picks its ring
-from s the same way, integers or plain integer coefficient lists, with
-the three operations its loop needs in that ring -- a three-term
-recurrence step, the mix of the two halves of g and the f factor -- and
-builds no SPoly until each coefficient is reduced once by
-:func:`_canonical`.  :func:`convolve` and the reciprocal in ``series``
-keep an integer lane beside their Q[s] one, which is faster over Q[s].
-The data picks the ring, never an option.  The Hsu-Shiue and two-point
+closed-route kernels -- the product and reversion in ``series`` and the
+array column loop in ``riordan`` -- each run one loop on numerators over
+one known denominator (:func:`_over_lcm`, :func:`_sum_products`): integers
+when every coefficient is a constant (at numeric s), and otherwise plain
+integer coefficient lists of polynomials in Z[s], ascending in s.  The
+Sheffer pair ``two_point.two_point_pair`` picks its ring from s the same
+way, with the three operations its loop needs in that ring -- a
+three-term recurrence step, the mix of the two halves of g and the f
+factor.  None of them builds an SPoly until each coefficient is reduced
+once, by :meth:`SPoly.ratio` or :func:`_canonical`.  The reciprocal in
+``series`` keeps an integer lane beside its Q[s] one, which is faster over
+Q[s].  The data picks the ring, never an option.  The Hsu-Shiue and two-point
 kernels read a family's rational parameters as integers over their lcm,
 :func:`_rationals_over_lcm`.
 
@@ -41,10 +41,7 @@ common-denominator method of Knuth, TAOCP Vol. 2, section 4.5.1:
   accumulator over a running common denominator and removes the content
   once, at the end: one reduction per sum, not one per term.  A product of
   two constants (the only kind at numeric s) skips the convolution and is
-  added into the s^0 entry as one integer;
-- a whole Cauchy product of constants, :func:`convolve`, puts each factor
-  over the lcm of its denominators once, so each product coefficient is
-  one integer sum of products and one gcd.
+  added into the s^0 entry as one integer.
 
 The gcd searches are loops that stop as soon as they reach 1, and no
 Fraction is built per coefficient.  The lowest-terms ``Fraction``
@@ -198,12 +195,12 @@ class SPoly:
 
     @staticmethod
     def ratio(n, d: int) -> "SPoly":
-        """n/d for an integer d > 0 and an int or SPoly n (a numerator in
-        Z[s] from :func:`_over_lcm`), reduced by one gcd."""
-        if type(n) is int:
-            return _canonical([n], d, d)
-        d *= n._den
-        return _canonical(n._num, d, d)
+        """n/d for an integer d > 0 and a numerator n in Z[s] from
+        :func:`_over_lcm` or :func:`_sum_products` -- an int or an integer
+        coefficient list, ascending in s -- reduced by one gcd.  A list is
+        copied, so the SPoly shares no storage with a numerator that a
+        kernel still reads."""
+        return _canonical([n] if type(n) is int else n[:], d, d)
 
     # -- queries ---------------------------------------------------------
 
@@ -488,35 +485,12 @@ def dot(xs, ys) -> SPoly:
     return _canonical(acc, D, D)
 
 
-def convolve(xs, ys, n: int) -> list:
-    """The Cauchy product coefficients sum_(i+j=k) x_i y_j, k = 0 .. n, of
-    two SPoly sequences of length > n, each one canonical SPoly.
-
-    When every coefficient is a constant (a product over Q), each side is
-    put over the lcm of its denominators once; coefficient k is then one
-    integer sum of products over the product of the two lcms, reduced by
-    one gcd, and :func:`dot` is not called.  Otherwise coefficient k is
-    ``dot(xs[:k + 1], ys[k::-1])``.
-
-    >>> half = SPoly.const(Fraction(1, 2))
-    >>> [str(c) for c in convolve([half, SPoly.const(3)], [half, half], 1)]
-    ['1/4', '7/4']
-    """
-    xs, ys = xs[:n + 1], ys[:n + 1]
-    if (any(len(c._num) > 1 for c in xs)
-            or any(len(c._num) > 1 for c in ys)):
-        return [dot(xs[:k + 1], ys[k::-1]) for k in range(n + 1)]
-    (a, da), (b, db) = _over_lcm(xs, ys)
-    d = da * db
-    return [SPoly.ratio(sum(map(mul, a, b[k::-1])), d) for k in range(n + 1)]
-
-
 def _over_lcm(*lists) -> list:
     """Each list of SPolys as numerators over the lcm of its denominators:
     one (numerators, lcm) per list.  The numerators are ints when every
-    coefficient of every list is a constant, and SPolys in Z[s]
-    (denominator 1) otherwise, so the lists that a kernel combines share
-    one ring, picked from the data."""
+    coefficient of every list is a constant, and integer coefficient lists
+    of polynomials in Z[s] otherwise, so the lists that a kernel combines
+    share one ring, picked from the data."""
     ints = all(len(c._num) <= 1 for cs in lists for c in cs)
     out = []
     for cs in lists:
@@ -528,8 +502,8 @@ def _over_lcm(*lists) -> list:
             out.append(([c._num[0] * (den // c._den) if c._num else 0
                          for c in cs], den))
         else:
-            out.append(([_canonical([n * (den // c._den) for n in c._num],
-                                    1, 1) for c in cs], den))
+            out.append(([[n * (den // c._den) for n in c._num] for c in cs],
+                        den))
     return out
 
 
@@ -542,11 +516,19 @@ def _rationals_over_lcm(*qs) -> tuple:
 
 def _sum_products(xs, ys):
     """The sum of x*y over paired numerators from :func:`_over_lcm`, xs
-    nonempty: one integer ``sum(map(mul, ...))`` on ints, :func:`dot` on
-    SPolys in Z[s]."""
+    nonempty, in the same ring: one integer ``sum(map(mul, ...))`` on ints;
+    on integer coefficient lists, every product added into one trimmed list
+    by :func:`_mac`, with no gcd."""
     if type(xs[0]) is int:
         return sum(map(mul, xs, ys))
-    return dot(xs, ys)
+    acc = []
+    for a, b in zip(xs, ys):
+        if a and b:
+            acc += [0] * (len(a) + len(b) - 1 - len(acc))
+            _mac(acc, a, b)
+    while acc and not acc[-1]:
+        acc.pop()
+    return acc
 
 
 def _canonical(num: list, den: int, g: int) -> SPoly:

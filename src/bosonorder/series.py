@@ -9,20 +9,18 @@ The operations are the standard formal ones -- Cauchy product, composition,
 compositional reversion, exp/log and rational powers f^q = exp(q log f) for
 series with constant term 1.  At truncation order N each costs O(N^2)
 coefficient operations or fewer, except composition and reversion, which
-cost O(N^3).  Every product goes through
-:func:`~bosonorder.scalars.convolve`, which calls
-:func:`~bosonorder.scalars.dot` only when s occurs; each coefficient is then
-one multiply-accumulate, reduced to lowest terms once, not once per term.
-When every factor is a constant (every product at numeric s), each factor is
-put over the lcm of its denominators once, and each coefficient is one
-integer sum of products, reduced by one gcd.  Exp, log and a reciprocal over
-Q[s] read each coefficient from one ``dot``; a reciprocal over Q takes an
-integer lane, 1/f = d/(sum_k A_k z^k) with d the lcm of f's denominators, by
-a triangular solve on the integers A_k.  Reversion has one loop for every s:
-z/f is put over the lcm d of its denominators once, z/f = P/d, and each
-power (z/f)^n is the numerator list P^n over d^n, one convolution per n with
-no gcd, read off with one reduction per coefficient; the numerators are
-integers over Q and polynomials in Z[s] otherwise.
+cost O(N^3).  A product has one loop for every s: each factor is put over
+the lcm of its denominators once, and each coefficient is one sum of
+products of numerators, reduced to lowest terms by one gcd, not once per
+term; the numerators are integers over Q and integer coefficient lists of
+polynomials in Z[s] otherwise.  Exp, log and a reciprocal over Q[s] read
+each coefficient from one :func:`~bosonorder.scalars.dot`; a reciprocal over
+Q takes an integer lane, 1/f = d/(sum_k A_k z^k) with d the lcm of f's
+denominators, by a triangular solve on the integers A_k.  Reversion has one
+loop for every s: z/f is put over the lcm d of its denominators once,
+z/f = P/d, and each power (z/f)^n is the numerator list P^n over d^n, one
+convolution per n with no gcd, read off with one reduction per coefficient,
+on the same numerators as a product.
 Composition is Horner's rule with truncated steps: the partial sum that has
 just taken f_k is later multiplied by inner^k, so it is carried only to order
 N - k.  Reversion is Lagrange inversion, g_n = (1/n) [z^(n-1)] (z/f)^n
@@ -37,7 +35,7 @@ from fractions import Fraction
 from operator import mul
 
 from .scalars import (SPoly, _over_lcm, _rational, _sum_products, as_spoly,
-                      convolve, dot, format_power, format_terms)
+                      dot, format_power, format_terms)
 
 
 class Series:
@@ -140,7 +138,10 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.order, other.order)
-        return Series(convolve(self.coeffs, other.coeffs, n), n)
+        (a, da), (b, db) = _over_lcm(self.coeffs[:n + 1], other.coeffs[:n + 1])
+        d = da * db
+        return Series([SPoly.ratio(_sum_products(a[:k + 1], b[k::-1]), d)
+                       for k in range(n + 1)], n)
 
     __rmul__ = __mul__
 
@@ -259,7 +260,8 @@ class Series:
         g_n = P^n_(n-1)/(n d_phi^n), and [z^n] u(g) is one sum of products
         of D with P^n over n d_phi^n d_u, each reduced once.  The numerators
         are integers when every coefficient of phi and u' is a constant
-        (every call at numeric s), and lie in Z[s] otherwise.
+        (every call at numeric s), and integer coefficient lists of
+        polynomials in Z[s] otherwise.
 
         >>> z = Series.variable(4)
         >>> print((1 + z).log().revert())
@@ -279,7 +281,8 @@ class Series:
         u = Series.zero(0) if outer is None else outer  # order 0: no sums
         m = min(N, u.order)
         (P, d_phi), (U, d_u) = _over_lcm(phi.coeffs, u.coeffs[1:m + 1])
-        D = [k * x for k, x in enumerate(U, 1)]
+        D = [k * x if type(x) is int else [k * c for c in x]
+             for k, x in enumerate(U, 1)]
         g, ug = [SPoly()], [u.coeffs[0]]
         power, den = P, d_phi
         for n in range(1, N + 1):

@@ -132,7 +132,7 @@ def two_point_pair(p: TwoPointParams, N: int) -> RiordanPair:
     [([u], q)] = _over_lcm((p.s,))
     (a, b, rho, rhop), L = _rationals_over_lcm(p.A, p.B, p.r, p.rp)
     one, zero, step, mix, odd = (_integer_ring(u, q, N) if type(u) is int
-                                 else _polynomial_ring(u._num, q))
+                                 else _polynomial_ring(u, q))
     # E_n, E_(n-1), E'_n, E'_(n-1)
     e, e_prev, ep, ep_prev = one, zero, one, zero
     c0, c0p, c1 = -2 * q * rho, -2 * q * rhop, 0  # E's factor is c0 + c1 u

@@ -395,6 +395,17 @@ def test_to_json_formats_each_reduced_coefficient(cs):
         assert p.to_json() == []
 
 
+def test_ratio_shares_no_storage_with_its_list():
+    # a kernel reads a numerator list again after SPoly.ratio has read it
+    num = [1, 0, 2, 0]
+    p = SPoly.ratio(num, 3)
+    assert num == [1, 0, 2, 0]  # not trimmed in place
+    num[0] = 7
+    num.append(5)
+    assert_canonical(p)
+    assert p == SPoly([Fraction(1, 3), 0, Fraction(2, 3)])
+
+
 def _to_json_per_coefficient_gcd(p: SPoly) -> list:
     """The general form of ``to_json``: every numerator over the stored
     denominator, reduced by its own gcd, constants included."""

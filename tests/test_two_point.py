@@ -1,7 +1,7 @@
 """The two-point generalized Stirling family and its radical closed forms."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -172,20 +172,6 @@ def test_two_point_pair_matches_exp_log_oracle(a, b, r, rp, s, N):
     assert two_point_pair(p, N) == _two_point_pair_exp_log(p, N)
 
 
-def test_symbolic_pair_runs_no_dot(monkeypatch):
-    # the three-term recurrence multiplies Z[s] polynomials pairwise and
-    # sums no products
-    p = TwoPointParams(Fraction(3, 2), Fraction(-2, 3), Fraction(5, 4),
-                       Fraction(-1, 6), S)
-    want = _two_point_pair_exp_log(p, 12)
-
-    def no_dot(xs, ys):
-        raise AssertionError("two_point_pair called scalars.dot")
-
-    monkeypatch.setattr(scalars, "dot", no_dot)
-    assert two_point_pair(p, 12) == want
-
-
 @given(zero_or_param_st, zero_or_param_st, param_st, param_st,
        st.fractions(min_value=-3, max_value=3, max_denominator=7),
        st.integers(0, 10))
@@ -225,22 +211,23 @@ def test_numeric_pair_multiplies_no_spoly(monkeypatch):
 
 
 def _two_point_pair_by_spoly(p: TwoPointParams, N: int) -> RiordanPair:
-    """The same three-term recurrence with every numerator an int or an
-    SPoly in Z[s] and every step an SPoly operator: the oracle of the
-    integer-list lane."""
-    [([u], q)] = scalars._over_lcm((p.s,))
+    """The same three-term recurrence with every numerator an SPoly in Z[s]
+    and every step an SPoly operator: the oracle of the integer-list lane.
+    s = u/q with q the lcm of the denominators of s."""
+    q = lcm(*(c.denominator for c in p.s.coeffs))
+    u = p.s * q
     up, down = q + u, q - u
     (a, b, rho, rhop), L = scalars._rationals_over_lcm(p.A, p.B, p.r, p.rp)
     slope, curve = 2 * u * b, (q * q - u * u) * b * b
     alpha, alphap = -2 * q * rho, -2 * q * rhop
-    e, e_prev, ep, ep_prev = 1, 0, 1, 0
+    e, e_prev, ep, ep_prev = SPoly.const(1), SPoly(), SPoly.const(1), SPoly()
     fall = [0, *scalars.falling_row(a + b, N - 1, -b)]
     g, f = [], []
     den = 1
-    pos, neg = 1, 1
+    pos, neg = SPoly.const(1), SPoly.const(1)
     for n in range(N + 1):
-        g.append(SPoly.ratio(up * e + down * ep, 2 * q * den))
-        f.append(SPoly.ratio((pos - neg) * (L * fall[n]), den))
+        g.append((up * e + down * ep) / (2 * q * den))
+        f.append((pos - neg) * (L * fall[n]) / den)
         tail = curve * (n * (n - 1))
         e, e_prev = alpha * e + tail * e_prev, e
         ep, ep_prev = alphap * ep + tail * ep_prev, ep
