@@ -38,7 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .scalars import SPoly, _over_lcm, _sum_products, as_spoly, dot
+from .scalars import (SPoly, _miller_power, _over_lcm, _sum_products,
+                      as_spoly, dot)
 from .series import Series
 
 
@@ -231,12 +232,15 @@ def sheffer_row(p: RiordanPair, n: int) -> list:
         [z^n] gbar fbar^k = [w^(n-k)] f'(w) phi(w)^(n+1) / g(w),
 
     so entry k is n!/k! times that.  For n >= 1, f' phi^(n+1) =
-    -(w^(n+1)/n) (f^(-n))' has coefficient m ((n-m)/n) c_m, c = (f/w)^(-n),
-    and J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2, sec. 4.7) gives c
-    in one O(n^2) pass.  The division by g (g_0 = 1) is one triangular
-    solve, q_m = num_m - sum_(i=1..m) g_i q_(m-i), one ``dot`` per
-    coefficient, with no reciprocal, no series product, no reversion, no
-    composition, no powering and no other row.
+    -(w^(n+1)/n) (f^(-n))' has coefficient m ((n-m)/n) c_m, c = (f/w)^(-n).
+    f/w goes over the lcm d of its denominators once, f/w = A/d with
+    A_0 = d, and J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2,
+    sec. 4.7), :func:`~bosonorder.scalars._miller_power` with alpha = -n,
+    gives c_m = R_m/d^m for m < n in one O(n^2) pass on the numerators;
+    c_n has weight 0 and is never formed.  The division by g (g_0 = 1) is
+    one triangular solve, q_m = num_m - sum_(i=1..m) g_i q_(m-i), one
+    ``dot`` per coefficient, with no reciprocal, no series product, no
+    reversion, no composition, no powering and no other row.
     """
     if n < 0:
         raise ValueError("row index must be >= 0")
@@ -244,17 +248,13 @@ def sheffer_row(p: RiordanPair, n: int) -> list:
         raise ValueError(f"truncation order {p.order} insufficient for row {n}")
     if n == 0:
         return [SPoly.const(1)]
-    F = p.second.coeffs[1:n + 1]  # f/w
-    jF = [j * x for j, x in enumerate(F)]
-    # c/n, by k c_k = sum_(j=1..k) ((1-n) j - k) F_j c_(k-j), linear in c
-    c = [F[0] / n]
-    for k in range(1, n + 1):
-        c.append(((1 - n) * dot(jF[1:k + 1], c[::-1])
-                  - k * dot(F[1:k + 1], c[::-1])) / k)
+    # f/w = A/d with A_0 = d, so c_m = R_m/d^m; c_n has weight 0
+    [(A, d)] = _over_lcm(p.second.coeffs[1:n + 1])
+    R = _miller_power(A, -n) + [0]
     G = p.first.coeffs[1:n + 1]
     q = []
-    for m, x in enumerate(c):
-        q.append((n - m) * x - dot(G[:m], q[::-1]))
+    for m, x in enumerate(R):
+        q.append(SPoly.ratio(x, n * d ** m) * (n - m) - dot(G[:m], q[::-1]))
     nf = factorial(n)
     return list(_tp_trim(q[n - k] * (nf // factorial(k))
                          for k in range(n + 1)))

@@ -11,10 +11,12 @@ the operator-ordering convention:
 Keeping s symbolic by default means one computation covers the whole family;
 a numeric choice of s gives the symbolic result evaluated at s.  The
 closed-route kernels -- the product and reversion in ``series`` and the
-array column loop in ``riordan`` -- each run one loop on numerators over
-one known denominator (:func:`_over_lcm`, :func:`_sum_products`): integers
-when every coefficient is a constant (at numeric s), and otherwise plain
-integer coefficient lists of polynomials in Z[s], ascending in s.  The
+array column loop and Sheffer row in ``riordan`` -- each run one loop on
+numerators over one known denominator (:func:`_over_lcm`,
+:func:`_sum_products`, and :func:`_miller_power` for the powers of a
+series that reversion and the Sheffer row read): integers when every
+coefficient is a constant (at numeric s), and otherwise plain integer
+coefficient lists of polynomials in Z[s], ascending in s.  The
 Sheffer pair ``two_point.two_point_pair`` picks its ring from s the same
 way, with the three operations its loop needs in that ring -- a
 three-term recurrence step, the mix of the two halves of g and the f
@@ -529,6 +531,44 @@ def _sum_products(xs, ys):
     while acc and not acc[-1]:
         acc.pop()
     return acc
+
+
+def _miller_power(A, alpha: int) -> list:
+    """The first len(A) coefficients of A^alpha, for numerators A from
+    :func:`_over_lcm` with a constant a = A_0 != 0 and any integer alpha,
+    scaled to stay integral: R_k = [z^k] A^alpha for alpha >= 0, and
+    R_k = a^(k - alpha) [z^k] A^alpha for alpha < 0.
+
+    J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2, sec. 4.7) reads
+    A R' = alpha A' R coefficientwise, k a R_k = sum_(j=1..k)
+    ((alpha+1) j - k) B_j R_(k-j), with B_j = A_j for alpha >= 0 and
+    B_j = a^j A_j for alpha < 0: one exact division per coefficient.  On
+    ints each sum is two ``sum(map(mul, ...))``; on integer coefficient
+    lists, one :func:`_sum_products` of the weighted B_j.
+
+    >>> _miller_power([1, 1, 0, 0], 3), _miller_power([2, 1, 0], -1)
+    ([1, 3, 3, 1], [1, -1, 1])
+    """
+    c, scaled = alpha + 1, alpha < 0
+    if type(A[0]) is int:
+        a = A[0]
+        B = [x * a ** j for j, x in enumerate(A)] if scaled else A
+        B1 = B[1:]
+        jB1 = [j * x for j, x in enumerate(B1, 1)]
+        R = [1 if scaled else a ** alpha]
+        for k in range(1, len(A)):
+            R.append((c * sum(map(mul, jB1, reversed(R)))
+                      - k * sum(map(mul, B1, reversed(R)))) // (k * a))
+        return R
+    a = A[0][0]
+    B = [[y * a ** j for y in x] for j, x in enumerate(A)] if scaled else A
+    R = [[1 if scaled else a ** alpha]]
+    for k in range(1, len(A)):
+        ka = k * a
+        R.append([x // ka for x in _sum_products(
+            [[(c * j - k) * y for y in B[j]] for j in range(1, k + 1)],
+            R[::-1])])
+    return R
 
 
 def _canonical(num: list, den: int, g: int) -> SPoly:

@@ -18,15 +18,16 @@ each coefficient from one :func:`~bosonorder.scalars.dot`; a reciprocal over
 Q takes an integer lane, 1/f = d/(sum_k A_k z^k) with d the lcm of f's
 denominators, by a triangular solve on the integers A_k.  Reversion has one
 loop for every s: z/f is put over the lcm d of its denominators once,
-z/f = P/d, and each power (z/f)^n is the numerator list P^n over d^n, one
-convolution per n with no gcd, read off with one reduction per coefficient,
-on the same numerators as a product.
+z/f = P/d, and step n reads the numerators [z^k] P^n, k < n, over d^n from
+Miller's power recurrence (:func:`~bosonorder.scalars._miller_power`), with
+one reduction per coefficient read off.
 Composition is Horner's rule with truncated steps: the partial sum that has
 just taken f_k is later multiplied by inner^k, so it is carried only to order
 N - k.  Reversion is Lagrange inversion, g_n = (1/n) [z^(n-1)] (z/f)^n
-(Brent & Kung, J. ACM 25, 1978): one reciprocal for z/f and one running
-product per n, with no composition; the same powers give an outer series
-composed with the inverse, u(g), by the Lagrange-Bürmann formula.
+(Brent & Kung, J. ACM 25, 1978): one reciprocal for z/f and, for each n,
+the first n coefficients of (z/f)^n, with no composition; the same powers
+give an outer series composed with the inverse, u(g), by the
+Lagrange-Bürmann formula.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .scalars import (SPoly, _over_lcm, _rational, _sum_products, as_spoly,
-                      dot, format_power, format_terms)
+from .scalars import (SPoly, _miller_power, _over_lcm, _rational,
+                      _sum_products, as_spoly, dot, format_power,
+                      format_terms)
 
 
 class Series:
@@ -248,15 +250,17 @@ class Series:
         Requires zero constant term and an invertible linear coefficient,
         a rational unit c = f_1.  Lagrange inversion: with phi = z/f, whose
         constant term is 1/c, g_n = (1/n) [z^(n-1)] phi^n.  phi is one
-        reciprocal at order N - 1, and one running power phi^n gives every
-        g_n, so reversion costs N products, O(N^3), and no composition.
-        The Lagrange-Bürmann formula (Stanley, EC2, sec. 5.4) reads u o g off
-        the same powers, [z^n] u(g) = (1/n) [z^(n-1)] u' phi^n for n >= 1,
-        at the order min(N, u.order).
+        reciprocal at order N - 1, and step n needs phi^n only through
+        z^(n-1), so reversion costs sum_n O(n^2) = O(N^3) coefficient
+        products and no composition.  The Lagrange-Bürmann formula
+        (Stanley, EC2, sec. 5.4) reads u o g off the same powers,
+        [z^n] u(g) = (1/n) [z^(n-1)] u' phi^n for n >= 1, at the order
+        min(N, u.order).
 
         phi = P/d_phi and u' = D/d_u go over the lcms of their denominators
-        once, and phi^n is carried as the numerator list P^n over d_phi^n:
-        each step is one convolution with P and no gcd.  Then
+        once, and step n takes the numerators [z^k] P^n, k < n, from
+        Miller's recurrence, :func:`~bosonorder.scalars._miller_power` with
+        alpha = n: one exact division per coefficient and no gcd.  Then
         g_n = P^n_(n-1)/(n d_phi^n), and [z^n] u(g) is one sum of products
         of D with P^n over n d_phi^n d_u, each reduced once.  The numerators
         are integers when every coefficient of phi and u' is a constant
@@ -284,16 +288,14 @@ class Series:
         D = [k * x if type(x) is int else [k * c for c in x]
              for k, x in enumerate(U, 1)]
         g, ug = [SPoly()], [u.coeffs[0]]
-        power, den = P, d_phi
+        den = 1
         for n in range(1, N + 1):
+            power = _miller_power(P[:n], n)  # [z^k] P^n for k < n
+            den *= d_phi
             g.append(SPoly.ratio(power[n - 1], n * den))
             if n <= m:
-                ug.append(SPoly.ratio(_sum_products(D, power[n - 1::-1]),
+                ug.append(SPoly.ratio(_sum_products(D, power[::-1]),
                                       n * den * d_u))
-            if n < N:
-                power = [_sum_products(power[:k + 1], P[k::-1])
-                         for k in range(N)]
-                den *= d_phi
         g = Series(g, N)
         return g if outer is None else (g, Series(ug, m))
 

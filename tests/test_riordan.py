@@ -272,6 +272,23 @@ def test_sheffer_row_takes_no_power(monkeypatch):
     assert [sheffer_row(pair, 8) for pair in cases] == want
 
 
+def test_sheffer_row_takes_its_power_from_the_miller_kernel(monkeypatch):
+    # one call: (f/w)^(-n) through w^(n-1); c_n has weight 0
+    cases = [catalog("laguerre", 9),
+             two_point_pair(TwoPointParams(2, 1, -2, 1, SPoly.s()), 9),
+             two_point_pair(TwoPointParams(2, 1, -2, 1, Fraction(1, 3)), 9)]
+    want = [_sheffer_row_by_powering(pair, 8) for pair in cases]
+    calls, kernel = [], scalars._miller_power
+
+    def recording(A, alpha):
+        calls.append((len(A), alpha))
+        return kernel(A, alpha)
+
+    monkeypatch.setattr(riordan, "_miller_power", recording)
+    assert [sheffer_row(pair, 8) for pair in cases] == want
+    assert calls == 3 * [(8, -8)]
+
+
 def test_sheffer_row_divides_by_no_series(monkeypatch):
     # the division by g is a triangular solve on the coefficients
     cases = [catalog("laguerre", 9),

@@ -480,6 +480,68 @@ def test_revert_with_a_symbolic_coefficient_goes_through_dot(case):
     assert ug == u.compose(g)
 
 
+def test_revert_takes_its_powers_from_the_miller_kernel(monkeypatch):
+    # step n asks for [z^k] P^n at k < n only, P the numerators of z/f
+    s = SPoly.s()
+    cases = [(Series([0, Fraction(-3, 2), Fraction(1, 3), 0, 4], N),
+              Series([1, Fraction(-1, 5), 0, 7], N)),
+             (Series([0, 1, s, 0, 1 - s], N), Series([0, s, 2], N))]
+    want = [_revert_by_dot(f, u) for f, u in cases]
+    calls, kernel = [], scalars._miller_power
+
+    def recording(A, alpha):
+        calls.append((len(A), alpha))
+        return kernel(A, alpha)
+
+    monkeypatch.setattr(series, "_miller_power", recording)
+    assert [f.revert(u) for f, u in cases] == want
+    assert calls == 2 * [(n, n) for n in range(1, N + 1)]
+
+
+@st.composite
+def miller_case_st(draw):
+    """(f, alpha): f at order K in 0..10 with a nonzero rational constant
+    term and the other coefficients rational, or polynomials in s of
+    degree <= 2; alpha in -6..6."""
+    K = draw(st.integers(0, 10))
+    rest = q_coeff_st if draw(st.booleans()) else spoly2_st
+    cs = [draw(q_coeff_st.filter(bool))] + draw(st.lists(rest, max_size=K))
+    return Series(cs, K), draw(st.integers(-6, 6))
+
+
+@settings(deadline=None)
+@given(miller_case_st())
+@example((Series([Fraction(-3, 2), 1, SPoly.s()], 2), 0))  # alpha = 0
+@example((Series([Fraction(5, 3)], 0), -4))  # K = 0
+@example((Series([1, 2, -1, SPoly.s()], 3), 4))  # A_0 = 1
+@example((Series([-1, SPoly.s(), 2], 2), -5))  # A_0 = -1
+# a negative non-unit A_0 = -3, from the leading coefficient -3/2
+@example((Series([Fraction(-3, 2), SPoly.s(), 0, Fraction(1, 2)], 3), 5))
+@example((Series([Fraction(-3, 2), SPoly.s(), 0, Fraction(1, 2)], 3), -5))
+@example((Series([Fraction(-3, 2), 1, Fraction(1, 4), 2], 3), -2))
+def test_miller_power_is_the_scaled_power_of_its_numerators(case):
+    f, alpha = case
+    [(A, d)] = scalars._over_lcm(f.coeffs)
+    R = scalars._miller_power(A, alpha)
+    a = A[0] if type(A[0]) is int else A[0][0]
+    num = [SPoly.ratio(x, 1) for x in R]
+    # A = d f: R_k = d^alpha [z^k] f^alpha, times a^(k - alpha) for alpha < 0
+    if alpha >= 0:
+        want = [d ** alpha * c for c in (f ** alpha).coeffs]
+    else:
+        power = f.reciprocal() ** -alpha
+        want = [Fraction(a) ** (k - alpha) * Fraction(d) ** alpha * c
+                for k, c in enumerate(power.coeffs)]
+    assert num == want
+    # every exact division k a R_k = sum_j ((alpha+1) j - k) B_j R_(k-j)
+    # left remainder 0
+    B = [SPoly.ratio(x, 1) * (a ** j if alpha < 0 else 1)
+         for j, x in enumerate(A)]
+    for k in range(1, len(R)):
+        assert k * a * num[k] == sum(
+            ((alpha + 1) * j - k) * B[j] * num[k - j] for j in range(1, k + 1))
+
+
 @given(inner_st)
 def test_log_inverts_exp(u):
     assert u.exp().log() == u
