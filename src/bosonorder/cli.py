@@ -262,6 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Lift the int -> str digit limit, if any, after parsing, till return.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         if getattr(args, "N", 0) < 0:
             raise ValueError("truncation order must be >= 0")
@@ -274,6 +278,9 @@ def main(argv=None) -> int:
         print(f"error: cannot write {args.out or 'stdout'}: "
               f"{exc.strerror or exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .scalars import as_s
+from .scalars import SPoly, as_s
 from .series import Series
 from .riordan import RiordanPair, pair_to_egf, raising_series, sheffer_row
 from .hsu_shiue import HSParams, hs_triangle_rec
@@ -57,22 +57,20 @@ class SingleAnnihilatorWord:
         return TwoPointParams(self.e, 1, -self.L, self.R, as_s(s))
 
 
+@dataclass(frozen=True, slots=True)
 class SymbolSeries:
     """Truncated series in lambda whose coefficients are classical symbols,
     tagged with the ordering parameter s they belong to."""
 
-    __slots__ = ("terms", "order", "s")
+    terms: tuple
+    order: int
+    s: SPoly
 
-    def __init__(self, terms, order: int, s):
-        ts = list(terms)
-        if len(ts) != order + 1:
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(self.terms))
+        if len(self.terms) != self.order + 1:
             raise ValueError("need exactly order+1 coefficient polynomials")
-        object.__setattr__(self, "terms", tuple(ts))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "s", as_s(s))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymbolSeries is immutable")
+        object.__setattr__(self, "s", as_s(self.s))
 
     def __getitem__(self, n: int) -> ClassicalPoly:
         return self.terms[n]
@@ -81,12 +79,6 @@ class SymbolSeries:
         """s-quantize every lambda coefficient at this series' own s; the
         lambda^n coefficient is entry n of the returned list of NormalForms."""
         return [s_quantize(t, self.s) for t in self.terms]
-
-    def __eq__(self, other):
-        if not isinstance(other, SymbolSeries):
-            return NotImplemented
-        return (self.order == other.order and self.s == other.s
-                and self.terms == other.terms)
 
     def to_json(self) -> dict:
         return {"trunc_order": self.order, "s": self.s.to_json(),

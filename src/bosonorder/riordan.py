@@ -94,7 +94,7 @@ def group_inverse(p: RiordanPair) -> RiordanPair:
     return RiordanPair(d_hbar.reciprocal(), hbar)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Triangle:
     """Lower-triangular table of SPoly entries; rows[n][k] for 0 <= k <= n."""
 
@@ -106,8 +106,9 @@ class Triangle:
             raise ValueError("truncation order must be >= 0")
         if len(self.rows) != self.N + 1:
             raise ValueError("row count must be N+1")
-        self.rows = [[c if type(c) is SPoly else as_spoly(c) for c in row]
-                     for row in self.rows]
+        rows = [[c if type(c) is SPoly else as_spoly(c) for c in row]
+                for row in self.rows]
+        object.__setattr__(self, "rows", rows)
         for n, row in enumerate(self.rows):
             if len(row) != n + 1:
                 raise ValueError(f"row {n} must have {n + 1} entries")
@@ -134,6 +135,7 @@ def _tp_trim(coeffs) -> tuple:
     return tuple(cs)
 
 
+@dataclass(frozen=True, slots=True)
 class BivariateEGF:
     """A bivariate EGF stored as plain z-coefficients, each a polynomial in t.
 
@@ -142,21 +144,18 @@ class BivariateEGF:
     are SPoly, so one object covers the whole symbolic-s family.
     """
 
-    __slots__ = ("zcoeffs", "order")
+    zcoeffs: tuple
+    order: int
 
-    def __init__(self, zcoeffs, order: int):
-        if order < 0:
+    def __post_init__(self):
+        if self.order < 0:
             raise ValueError("truncation order must be >= 0")
         rows = []
-        for n in range(order + 1):
-            src = zcoeffs[n] if n < len(zcoeffs) else ()
+        for n in range(self.order + 1):
+            src = self.zcoeffs[n] if n < len(self.zcoeffs) else ()
             rows.append(_tp_trim(c if type(c) is SPoly else as_spoly(c)
                                  for c in src))
         object.__setattr__(self, "zcoeffs", tuple(rows))
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BivariateEGF is immutable")
 
     def coeff(self, n: int, k: int) -> SPoly:
         """Coefficient of z^n t^k, zero for k outside the stored row."""
@@ -180,11 +179,6 @@ class BivariateEGF:
 
     def is_zero(self) -> bool:
         return all(not row for row in self.zcoeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, BivariateEGF):
-            return NotImplemented
-        return self.order == other.order and self.zcoeffs == other.zcoeffs
 
     def to_json(self) -> dict:
         return {"trunc_order": self.order,

@@ -159,7 +159,9 @@ class SPoly:
     ``coeffs`` is derived on each read: a tuple of lowest-terms ``Fraction``
     values (exact type) with a nonzero last entry.  ``str``,
     :meth:`to_json`, :meth:`eval` and the hash of a non-constant
-    polynomial read it, so none of them sees the storage.
+    polynomial read it, so none of them sees the storage.  Not a dataclass:
+    ``_canonical`` fills the slots of every hot-path result without
+    ``__init__``, so the guard is written out.
 
     >>> s = SPoly.s()
     >>> print((1 + s) * (1 - s))

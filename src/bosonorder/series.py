@@ -32,6 +32,7 @@ Lagrange-Bürmann formula.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -40,6 +41,7 @@ from .scalars import (SPoly, _miller_power, _over_lcm, _rational,
                       format_terms)
 
 
+@dataclass(frozen=True, slots=True)
 class Series:
     """Formal power series in one variable, truncated at an explicit order.
 
@@ -48,21 +50,17 @@ class Series:
     1 + 1/2*z - 1/8*z^2 + 1/16*z^3 - 5/128*z^4 + O(z^5)
     """
 
-    __slots__ = ("coeffs", "order")
+    coeffs: tuple
+    order: int
 
-    def __init__(self, coeffs, order: int):
-        if order < 0:
+    def __post_init__(self):
+        if self.order < 0:
             raise ValueError("truncation order must be >= 0")
-        cs = [c if type(c) is SPoly else as_spoly(c) for c in coeffs]
-        if len(cs) > order + 1:
-            cs = cs[: order + 1]
-        while len(cs) < order + 1:
-            cs.append(SPoly())
+        cs = [c if type(c) is SPoly else as_spoly(c) for c in self.coeffs]
+        del cs[self.order + 1:]
+        if len(cs) <= self.order:
+            cs += [SPoly()] * (self.order + 1 - len(cs))
         object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Series is immutable")
 
     # -- constructors ----------------------------------------------------
 
@@ -344,14 +342,6 @@ class Series:
         return Series((SPoly.const(c.eval(value)) for c in self.coeffs), self.order)
 
     # -- comparisons, display, serialization ----------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.coeffs, self.order))
 
     def __str__(self):
         body = format_terms((c, format_power("z", n))

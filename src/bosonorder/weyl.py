@@ -28,6 +28,7 @@ exp[((s'-s)/2) d^2/dx dx*], which on polynomials is a finite sum.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -42,6 +43,7 @@ CREATOR = "c"
 WEYL_SHUFFLE_CAP = 14
 
 
+@dataclass(frozen=True, slots=True)
 class Word:
     """A word in the letters a (annihilator) and c (creator).
 
@@ -50,17 +52,14 @@ class Word:
     ``letters`` is the validated string the rewriting oracle works on.
     """
 
-    __slots__ = ("letters",)
+    letters: str
 
-    def __init__(self, letters):
-        letters = "".join(letters).replace(" ", "")
+    def __post_init__(self):
+        letters = "".join(self.letters).replace(" ", "")
         for ch in letters:
             if ch not in (ANNIHILATOR, CREATOR):
                 raise ValueError(f"letters must be 'a' or 'c', got {ch!r}")
         object.__setattr__(self, "letters", letters)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
 
     def __len__(self):
         return len(self.letters)
@@ -72,12 +71,6 @@ class Word:
         if n < 0:
             raise ValueError("negative word power")
         return Word(self.letters * n)
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
 
     def __str__(self):
         return " ".join("a" if ch == ANNIHILATOR else "a†"
@@ -97,7 +90,8 @@ class _Table:
     """Shared machinery for sparse coefficient tables keyed by integer pairs.
 
     ``_symbols`` names the two factors of the monomial keyed (p, q) when a
-    table is printed.
+    table is printed.  Not a dataclass: the constructor merges terms for
+    three subclasses, so the guard is written out.
     """
 
     __slots__ = ("table",)

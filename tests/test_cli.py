@@ -449,3 +449,15 @@ def test_negative_fractions_are_values(capsys, argv, expected):
     joined = [f"{flag}={value}" for flag, value in zip(pairs, pairs)]
     assert run_cli(capsys, argv[0], *joined, "--format", "csv") == \
         (0, expected)
+
+
+def test_coefficients_past_the_digit_limit_print_in_full(capsys):
+    """r = 10^1000 gives [z^5 t^0] = r^5/5!, a 5,000-digit numerator: the
+    CLI prints it, and leaves the interpreter's limit as it found it."""
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = digit_limit()
+    code, out = run_cli(capsys, "hs-egf", "--A", "0", "--B", "1",
+                        "--r", "1" + "0" * 1000, "--N", "5")
+    assert code == 0
+    assert json.loads(out)["coeffs"][5][0] == ["25" + "0" * 4997 + "/3"]
+    assert digit_limit() == limit

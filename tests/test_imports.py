@@ -1,4 +1,5 @@
-"""Every module of the package reads each name it imports."""
+"""Every module of the package reads each name it imports, and only two
+classes write their own immutability guard."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,16 @@ def test_modules_import_only_what_they_use():
     assert modules
     unread = {path.name: _unread_imports(path) for path in modules}
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+def test_only_spoly_and_table_write_their_own_guard():
+    """The value types are frozen dataclasses.  ``SPoly`` (built through
+    its slots without ``__init__``) and ``_Table`` (whose constructor
+    merges terms) are the only classes that define ``__setattr__``."""
+    guarded = sorted(
+        node.name for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "__setattr__"
+                for f in node.body))
+    assert guarded == ["SPoly", "_Table"]
