@@ -46,9 +46,10 @@ def _emit(text: str, out) -> None:
 
 def _json_text(obj, pad: str = "\n") -> str:
     r"""``json.dumps(obj, indent=2)`` for dicts with str keys, lists, strs
-    and ints, the only types the CLI prints; strings go through the C
-    escaper, and any other type raises TypeError.  ``pad`` is the line
-    break and indent of the enclosing level.
+    and ints, the only types the CLI prints; strings and keys go through
+    the C escaper, which raises TypeError on a non-str key, and any other
+    type raises TypeError.  ``pad`` is the line break and indent of the
+    enclosing level.
 
     >>> print(_json_text({"n": [1, "é"], "m": {}}))
     {
@@ -74,8 +75,6 @@ def _json_text(obj, pad: str = "\n") -> str:
     if kind is dict:
         if not obj:
             return "{}"
-        if any(type(k) is not str for k in obj):
-            raise TypeError("CLI JSON keys must be strs")
         body = [_quote(k) + ": " + (_quote(v) if type(v) is str else
                                     _json_text(v, inner))
                 for k, v in obj.items()]

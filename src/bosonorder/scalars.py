@@ -21,7 +21,12 @@ Sheffer pair ``two_point.two_point_pair`` picks its ring from s the same
 way, with the three operations its loop needs in that ring -- a
 three-term recurrence step, the mix of the two halves of g and the f
 factor.  None of them builds an SPoly until each coefficient is reduced
-once, by :meth:`SPoly.ratio` or :func:`_canonical`.  The reciprocal in
+once, by :meth:`SPoly.ratio` or :func:`_canonical`; ``ratio`` builds a
+constant from an int numerator directly, with one gcd.  A kernel whose
+denominator grows from step to step, the array column loop, divides the
+content out of its numerators after each step with
+:func:`_remove_content`, so its integers stay the size of the reduced
+entries.  The reciprocal in
 ``series`` keeps an integer lane beside its Q[s] one, which is faster over
 Q[s].  The data picks the ring, never an option.  The Hsu-Shiue and two-point
 kernels read a family's rational parameters as integers over their lcm,
@@ -201,10 +206,27 @@ class SPoly:
     def ratio(n, d: int) -> "SPoly":
         """n/d for an integer d > 0 and a numerator n in Z[s] from
         :func:`_over_lcm` or :func:`_sum_products` -- an int or an integer
-        coefficient list, ascending in s -- reduced by one gcd.  A list is
-        copied, so the SPoly shares no storage with a numerator that a
-        kernel still reads."""
-        return _canonical([n] if type(n) is int else n[:], d, d)
+        coefficient list, ascending in s -- reduced by one gcd.  An int
+        builds the canonical constant directly: one ``gcd`` and two exact
+        divisions, zero as ``([], 1)``.  A list goes through
+        :func:`_canonical` as a copy, so the SPoly shares no storage with a
+        numerator that a kernel still reads.
+
+        >>> p = SPoly.ratio(-6, 20)
+        >>> p._num, p._den, SPoly.ratio(0, 7)._den
+        ([-3], 10, 1)
+        """
+        if type(n) is not int:
+            return _canonical(n[:], d, d)
+        p = _new(SPoly)
+        if n:
+            g = gcd(n, d)
+            _set_num(p, [n // g])
+            _set_den(p, d // g)
+        else:
+            _set_num(p, [])
+            _set_den(p, 1)
+        return p
 
     # -- queries ---------------------------------------------------------
 
@@ -533,6 +555,30 @@ def _sum_products(xs, ys):
     while acc and not acc[-1]:
         acc.pop()
     return acc
+
+
+def _remove_content(xs, den: int) -> tuple:
+    """(xs/g, den/g) for numerators xs from :func:`_over_lcm` or
+    :func:`_sum_products` over den, xs nonempty, in either ring: g =
+    gcd(den, every numerator) by one sweep that stops at 1, then one
+    exact division per numerator.
+
+    >>> _remove_content([6, -4, 0], 10), _remove_content([[2, 4], []], 6)
+    (([3, -2, 0], 5), ([[1, 2], []], 3))
+    """
+    if type(xs[0]) is int:
+        g = _gcd_into(den, xs)
+        if g != 1:
+            xs = [x // g for x in xs]
+    else:
+        g = den
+        for x in xs:
+            if g == 1:
+                break
+            g = _gcd_into(g, x)
+        if g != 1:
+            xs = [[y // g for y in x] for x in xs]
+    return xs, den // g
 
 
 def _miller_power(A, alpha: int) -> list:

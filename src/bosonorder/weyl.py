@@ -103,7 +103,7 @@ class _Table:
             n, m = key
             if n < 0 or m < 0:
                 raise ValueError(f"negative exponent in key {key}")
-            c = as_spoly(c)
+            c = c if type(c) is SPoly else as_spoly(c)
             if key in tab:
                 c = tab[key] + c
             if c.is_zero():

@@ -440,6 +440,25 @@ def test_pair_to_egf_with_a_symbolic_entry_goes_through_dot(case, d1):
         RiordanPair(Series(d, pair.order), pair.second), n)
 
 
+def test_pair_to_egf_removes_the_column_content(monkeypatch):
+    # column k of (2,1,-2,1) at s = 5/7 is A B^k over d_d d_H^k k!: without
+    # its content removed, the numerators reach 1,445 bits at N = 20, while
+    # no reduced entry needs more than 82
+    pair = group_inverse(two_point_pair(
+        TwoPointParams(2, 1, -2, 1, Fraction(5, 7)), 20))
+    want = _pair_to_egf_by_spoly(pair, 20)
+    ratio, seen = SPoly.ratio, []
+
+    def record(n, d):
+        seen.append(max(abs(n).bit_length(), d.bit_length()))
+        return ratio(n, d)
+
+    monkeypatch.setattr(SPoly, "ratio", staticmethod(record))
+    assert pair_to_egf(pair, 20) == want
+    assert len(seen) == 21 * 22 // 2
+    assert max(seen) <= 128
+
+
 def _case_pair(case, n):
     """The pair of an ``array_case_st`` case at order n, as it is built:
     catalog and two-point pairs are Sheffer pairs [g, f], Hsu-Shiue pairs

@@ -4,10 +4,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from bosonorder.scalars import (SPoly, as_s, as_spoly, dot, falling_row,
-                                format_rational, parse_rational)
+from bosonorder import scalars
+from bosonorder.hsu_shiue import HSParams, hs_pair, hs_triangle_rec
+from bosonorder.riordan import group_inverse, pair_to_egf
+from bosonorder.scalars import (SPoly, _canonical, as_s, as_spoly, dot,
+                                falling_row, format_rational, parse_rational)
+from bosonorder.two_point import TwoPointParams, two_point_pair
 
 S = SPoly.s()
 
@@ -404,6 +408,67 @@ def test_ratio_shares_no_storage_with_its_list():
     num.append(5)
     assert_canonical(p)
     assert p == SPoly([Fraction(1, 3), 0, Fraction(2, 3)])
+
+
+# n and d with a common factor f, so the gcd has something to remove
+shared_factor_st = st.tuples(st.integers(1, 10**6), st.integers(-10**12, 10**12),
+                             st.integers(1, 10**12)).map(
+    lambda fnd: (fnd[0] * fnd[1], fnd[0] * fnd[2]))
+
+
+@given(st.one_of(st.tuples(st.integers(-10**30, 10**30),
+                           st.integers(1, 10**30)),
+                 shared_factor_st))
+@example((0, 1))
+@example((0, 12))
+@example((-18, 12))
+@example((35, 14))
+@example((7, 1))
+def test_ratio_of_an_int_is_the_canonical_constant(nd):
+    n, d = nd
+    got, want = SPoly.ratio(n, d), _canonical([n], d, d)
+    assert_canonical(got)
+    assert (got._num, got._den) == (want._num, want._den)
+
+
+def test_ratio_of_an_int_calls_no_canonical(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("SPoly.ratio of an int called _canonical")
+
+    monkeypatch.setattr(scalars, "_canonical", refuse)
+    got = [SPoly.ratio(n, d) for n, d in ((0, 12), (-18, 12), (5, 7), (3, 1))]
+    assert [p.as_rational() for p in got] == [0, Fraction(-3, 2),
+                                              Fraction(5, 7), 3]
+
+
+kernel_s_st = st.one_of(st.just(S), fractions_st)
+
+
+@given(st.tuples(fractions_st, fractions_st, fractions_st, fractions_st),
+       kernel_s_st, st.integers(1, 8))
+@example((Fraction(2), Fraction(1), Fraction(-2), Fraction(1)), S, 8)
+@example((Fraction(2), Fraction(1), Fraction(-2), Fraction(1)),
+         Fraction(5, 7), 8)
+@example((Fraction(-4, 3), Fraction(5, 2), Fraction(7, 4), Fraction(0)),
+         Fraction(1, 3), 8)
+@settings(max_examples=40, deadline=None)
+def test_closed_route_kernels_return_canonical_coefficients(params, s, n):
+    # every coefficient that revert, reciprocal, pair_to_egf, hs_pair and
+    # hs_triangle_rec build goes through SPoly.ratio or _canonical
+    A, B, r, rp = params
+    pair = two_point_pair(TwoPointParams(A, B, r, rp, s), n)
+    array = group_inverse(pair)  # revert with d as the outer series
+    hbar, d_hbar = pair.second.revert(pair.first)
+    hs = hs_pair(HSParams(A, B, r), n)
+    coeffs = [*hbar.coeffs, *d_hbar.coeffs, *pair.first.reciprocal().coeffs,
+              *d_hbar.reciprocal().coeffs, *array.first.coeffs,
+              *(c for egf in (pair_to_egf(array, n), pair_to_egf(hs, n))
+                for row in egf.zcoeffs for c in row),
+              *hs.first.coeffs, *hs.second.coeffs,
+              *(c for row in hs_triangle_rec(HSParams(A, B, r), n).rows
+                for c in row)]
+    for c in coeffs:
+        assert_canonical(c)
 
 
 def _to_json_per_coefficient_gcd(p: SPoly) -> list:

@@ -35,3 +35,14 @@ def test_value_type_refuses_assignment(name):
         with pytest.raises(AttributeError):
             setattr(value, field, old)
         assert getattr(value, field) is old
+
+
+def test_triangle_rows_are_frozen_and_hashable():
+    tri = Triangle(1, [[1], [0, 1]])
+    with pytest.raises(TypeError):
+        tri.rows[1][0] = 5
+    with pytest.raises(TypeError):
+        tri.rows[0] = [2]
+    assert tri.entry(1, 0) == 0 and type(tri.entry(1, 0)) is SPoly
+    same = Triangle(1, ([SPoly.const(1)], (0, SPoly.const(1))))
+    assert same == tri and hash(same) == hash(tri)
